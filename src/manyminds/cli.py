@@ -135,7 +135,7 @@ def _run_tree(config: RunConfig):
 def _run_epr(config: RunConfig):
     ecfg = epr_mod.EprConfig(
         rng=config.rng, alice_axis=config.alice_axis, bob_axis=config.bob_axis,
-        policy=config.sampling_policy(), n_minds=config.minds, trials=config.trials)
+        policy=config.sampling_policy(), n_minds=config.minds)
     exact = epr_mod.correlation(config.alice_axis, config.bob_axis)
 
     run = epr_mod.run_epr(ecfg)

@@ -22,6 +22,7 @@ from .minds import (
     PolicyKind,
     ReportCheck,
     SamplingPolicy,
+    count_off_support,
     init_ensemble,
     marginal_for,
     mismatch_probability,
@@ -91,15 +92,15 @@ class EprConfig:
     bob_axis: object = "z"
     policy: SamplingPolicy = SINGLE_MIND
     n_minds: int = 1
-    trials: int = 10000
 
     def __post_init__(self):
         axis_vector(self.alice_axis)  # rejects non-unit or malformed axes
         axis_vector(self.bob_axis)
+        if not isinstance(self.policy, SamplingPolicy):
+            raise ValueError("policy must be INDEPENDENT_LOCAL, JOINTLY_CORRELATED or "
+                             f"SINGLE_MIND from manyminds.minds, got {self.policy!r}")
         if self.n_minds < 1:
             raise ValueError(f"n_minds must be >= 1, got {self.n_minds}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
     def to_dict(self) -> dict:
         return {
@@ -107,7 +108,6 @@ class EprConfig:
             "bob_axis": axis_name(self.bob_axis),
             "policy": self.policy.name,
             "n_minds": self.n_minds,
-            "trials": self.trials,
             "rng": self.rng.to_dict(),
         }
 
@@ -190,32 +190,19 @@ def prepare_state(config: EprConfig, pair: StateVector | None = None) -> StateVe
     return premeasure(state, "p2", config.bob_axis, "bob")
 
 
-def _pair_table(alice: MindEnsemble, bob: MindEnsemble, event: str,
-                ) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], tuple[tuple[int, ...], ...]]:
-    ka, kb = alice.event_index(event), bob.event_index(event)
-    rows, cols = alice.outcome_labels[ka], bob.outcome_labels[kb]
-    table = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    np.add.at(table, (alice.assignments[ka], bob.assignments[kb]), 1)
-    return (rows, cols), tuple(tuple(int(c) for c in row) for row in table)
-
-
-def _mismatch_pairs(alice: MindEnsemble, bob: MindEnsemble, event: str,
-                    decomp: BranchDecomposition) -> int:
-    support = set(decomp.joint_distribution().keys())
-    pairs = zip(alice.outcomes(event).tolist(), bob.outcomes(event).tolist())
-    return sum(1 for p in pairs if p not in support)
-
-
 def _make_record(ensembles: tuple[MindEnsemble, ...], decomp: BranchDecomposition,
                  report_consistent: bool | None = None) -> RunRecord:
     alice, bob = ensembles
-    labels, counts = _pair_table(alice, bob, "measure")
+    ka, kb = alice.event_index("measure"), bob.event_index("measure")
+    rows, cols = alice.outcome_labels[ka], bob.outcome_labels[kb]
+    ia, ib = alice.assignments[ka], bob.assignments[kb]
+    table = np.bincount(ia.astype(np.int64) * len(cols) + ib, minlength=len(rows) * len(cols))
     return RunRecord(
         n_minds=alice.size,
         proportions={ens.observer: proportions(ens, "measure") for ens in ensembles},
-        pair_labels=labels,
-        pair_counts=counts,
-        mismatch_pairs=_mismatch_pairs(alice, bob, "measure", decomp),
+        pair_labels=(rows, cols),
+        pair_counts=tuple(tuple(row) for row in table.reshape(len(rows), -1).tolist()),
+        mismatch_pairs=count_off_support(decomp, (rows, cols), ia, ib),
         report_consistent=report_consistent,
     )
 

@@ -14,9 +14,7 @@ observer to flip sign between two scenarios that share their local axis.
 """
 from __future__ import annotations
 
-import csv
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -41,8 +39,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "ScenarioPartition",
-    "TripleOutcome",
-    "IntersectionCell",
     "ScenarioSample",
     "PigeonholeReport",
     "Witness",
@@ -52,14 +48,11 @@ __all__ = [
     "allowed_triples",
     "enumerate_local_assignments",
     "simulate_scenarios",
-    "cell_of",
     "all_cells",
     "pigeonhole_report",
     "sign_flip_witness",
     "sign_flip_witnesses",
     "missing_witness_count",
-    "witness_table",
-    "write_cell_histogram_csv",
 ]
 
 PARTICLES = ("p1", "p2", "p3")
@@ -127,16 +120,6 @@ class ScenarioPartition:
     scenario: Scenario
     triples: tuple[tuple[str, str, str], ...]
 
-    def __post_init__(self):
-        want = tuple(sorted(
-            t for t in itertools.product(_SIGNS, repeat=3)
-            if _sign_product(t) == self.scenario.eigenvalue))
-        if self.triples != want:
-            raise ValueError(f"{self.scenario.name}: triples must be exactly {want}")
-
-    def index_of(self, triple: tuple[str, str, str]) -> int:
-        return self.triples.index(triple)
-
 
 def _sign_product(triple) -> int:
     out = 1
@@ -181,66 +164,6 @@ def enumerate_local_assignments(constraints: tuple[int, ...] = (1, 2, 3, 4),
     return 64, len(witnesses), witnesses
 
 
-@dataclass(frozen=True)
-class TripleOutcome:
-    """One mind-triple's sign-triple in each of the four scenarios."""
-
-    triples: tuple[tuple[str, str, str], ...]
-
-    def __post_init__(self):
-        if len(self.triples) != 4:
-            raise ValueError(f"need one triple per scenario, got {len(self.triples)}")
-        for scen, triple in zip(SCENARIOS, self.triples):
-            if triple not in _PARTITIONS[scen].triples:
-                raise ValueError(
-                    f"{scen.name} does not allow {triple}; its product must be "
-                    f"{scen.eigenvalue:+d}")
-
-    def sign(self, observer: str, scenario: Scenario) -> str:
-        return self.triples[scenario.index - 1][OBSERVERS.index(observer)]
-
-
-@dataclass(frozen=True)
-class IntersectionCell:
-    """One allowed triple per scenario; ids are base-4 over triple indices,
-    scenario 1 most significant."""
-
-    cell_id: int
-    triples: tuple[tuple[str, str, str], ...]
-
-    def __post_init__(self):
-        if not 0 <= self.cell_id < 256:
-            raise ValueError(f"cell_id must be in 0..255, got {self.cell_id}")
-        if self.cell_id != _id_of(self.triples):
-            raise ValueError(f"cell_id {self.cell_id} does not match triples "
-                             f"(expected {_id_of(self.triples)})")
-
-    @classmethod
-    def from_id(cls, cell_id: int) -> "IntersectionCell":
-        digits = [(cell_id >> (2 * k)) & 3 for k in (3, 2, 1, 0)]
-        triples = tuple(_PARTITIONS[scen].triples[d] for scen, d in zip(SCENARIOS, digits))
-        return cls(cell_id, triples)
-
-    def as_outcome(self) -> TripleOutcome:
-        return TripleOutcome(self.triples)
-
-
-def _id_of(triples) -> int:
-    out = 0
-    for scen, triple in zip(SCENARIOS, triples):
-        out = out * 4 + _PARTITIONS[scen].index_of(triple)
-    return out
-
-
-def cell_of(outcome: TripleOutcome) -> IntersectionCell:
-    """The unique intersection cell containing this cross-scenario outcome."""
-    return IntersectionCell(_id_of(outcome.triples), outcome.triples)
-
-
-def all_cells() -> tuple[IntersectionCell, ...]:
-    return tuple(IntersectionCell.from_id(i) for i in range(256))
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -252,32 +175,25 @@ _SIGN_TABLE = np.array(
      for scen in SCENARIOS], dtype=np.int8)  # (scenario, observer, triple index)
 
 
-class ScenarioSample(Sequence):
-    """n mind-triples' outcomes, one allowed-triple index per scenario.
+class ScenarioSample:
+    """n mind-triples' outcomes as an (n, 4) array of allowed-triple indices.
 
-    Behaves as a sequence of TripleOutcome; bulk statistics work on the
-    underlying (n, 4) index array.
+    Column j holds scenario j+1's index into ``allowed_triples(...).triples``;
+    an index outside 0..3 is rejected, so a disallowed triple cannot occur.
     """
 
     def __init__(self, indices: np.ndarray):
-        indices = np.asarray(indices, dtype=np.int8)
+        indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[1] != 4:
             raise ValueError(f"indices must have shape (n, 4), got {indices.shape}")
         if indices.size and (indices.min() < 0 or indices.max() > 3):
             raise ValueError("triple indices must lie in 0..3")
-        indices = indices.copy()
+        indices = indices.astype(np.int8)
         indices.flags.writeable = False
         self.indices = indices
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ScenarioSample(self.indices[i])
-        return TripleOutcome(tuple(
-            _PARTITIONS[scen].triples[k]
-            for scen, k in zip(SCENARIOS, self.indices[i])))
 
     def __eq__(self, other):
         return isinstance(other, ScenarioSample) and np.array_equal(self.indices, other.indices)
@@ -294,6 +210,12 @@ class ScenarioSample(Sequence):
         signs = _SIGN_TABLE[scenario.index - 1, OBSERVERS.index(observer)]
         per_mind = signs[self.indices[:, scenario.index - 1]]
         return float(np.mean(per_mind == 1))
+
+
+def all_cells() -> np.ndarray:
+    """The 256 cells as a (256, 4) triple-index array; row k is cell id k
+    (base 4 over the triple indices, scenario 1 most significant)."""
+    return np.array(list(itertools.product(range(4), repeat=4)), dtype=np.int8)
 
 
 def simulate_scenarios(n_triples: int, rng: RngSpec,
@@ -345,13 +267,10 @@ class PigeonholeReport:
         return Fraction(int(self.counts[cell_id]), self.n)
 
 
-def pigeonhole_report(outcomes) -> PigeonholeReport:
+def pigeonhole_report(sample: ScenarioSample) -> PigeonholeReport:
     """Histogram outcomes over the 256 cells; the fullest cell must carry
     frequency at least 1/256 because the cells exhaust all outcomes."""
-    if isinstance(outcomes, ScenarioSample):
-        ids = outcomes.cell_ids()
-    else:
-        ids = np.asarray([cell_of(o).cell_id for o in outcomes], dtype=np.int64)
+    ids = sample.cell_ids()
     if ids.size == 0:
         raise ValueError("no outcomes to report on")
     counts = np.bincount(ids, minlength=256)
@@ -387,28 +306,35 @@ FLIP_CANDIDATES = (
 )
 
 
-def sign_flip_witnesses(outcome: TripleOutcome | IntersectionCell) -> tuple[Witness, ...]:
-    """All candidate (observer, scenario pair) flips present in the outcome."""
-    if isinstance(outcome, IntersectionCell):
-        outcome = outcome.as_outcome()
+def sign_flip_witnesses(row) -> tuple[Witness, ...]:
+    """All candidate (observer, scenario pair) flips in one outcome row.
+
+    ``row`` holds one allowed-triple index per scenario, like a row of
+    ``all_cells()`` or of ``ScenarioSample.indices``.
+    """
+    row = tuple(int(k) for k in row)
+    if len(row) != 4 or not all(0 <= k <= 3 for k in row):
+        raise ValueError(f"need one triple index in 0..3 per scenario, got {row}")
     found = []
     for observer, pair in FLIP_CANDIDATES:
-        if outcome.sign(observer, pair[0]) != outcome.sign(observer, pair[1]):
+        o = OBSERVERS.index(observer)
+        j, k = pair[0].index - 1, pair[1].index - 1
+        if _SIGN_TABLE[j, o, row[j]] != _SIGN_TABLE[k, o, row[k]]:
             found.append(Witness(observer, pair))
     return tuple(found)
 
 
-def sign_flip_witness(outcome: TripleOutcome | IntersectionCell) -> Witness:
+def sign_flip_witness(row) -> Witness:
     """First witness in the fixed candidate order.
 
     Existence is guaranteed: if no observer flipped between any same-axis
     scenario pair, the outcome would define fixed local values satisfying all
     four constraints, and the 64-assignment enumeration shows none exist.
     """
-    witnesses = sign_flip_witnesses(outcome)
+    witnesses = sign_flip_witnesses(row)
     if not witnesses:
         raise PhysicsAssertionError(
-            f"no sign flip in {outcome!r}; this contradicts the constraint table")
+            f"no sign flip in {tuple(row)!r}; this contradicts the constraint table")
     return witnesses[0]
 
 
@@ -423,24 +349,3 @@ def missing_witness_count(sample: ScenarioSample) -> int:
         has |= a != b
     return int(len(sample) - np.count_nonzero(has))
 
-
-def witness_table() -> list[dict]:
-    """First witness for each of the 256 cells, as JSON-ready rows."""
-    rows = []
-    for cell in all_cells():
-        w = sign_flip_witness(cell)
-        rows.append({
-            "cell_id": cell.cell_id,
-            "observer": w.observer,
-            "axis": w.axis,
-            "scenarios": [s.index for s in w.scenarios],
-        })
-    return rows
-
-
-def write_cell_histogram_csv(path, report: PigeonholeReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "count", "frequency"])
-        for cell_id, count in enumerate(report.counts.tolist()):
-            writer.writerow([cell_id, int(count), repr(float(count) / report.n)])

@@ -18,12 +18,10 @@ evaluation orders, and worker-thread counts.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,19 +34,15 @@ __all__ = [
     "INDEPENDENT_LOCAL",
     "JOINTLY_CORRELATED",
     "SINGLE_MIND",
-    "MindId",
     "MindEnsemble",
     "ReportCheck",
     "init_ensemble",
     "split_local",
     "split_joint",
     "proportions",
-    "history_counts",
-    "exchange_minds",
+    "count_off_support",
     "mismatch_probability",
     "report_correlation",
-    "ensembles_to_json",
-    "write_history_csv",
 ]
 
 
@@ -72,12 +66,7 @@ JOINTLY_CORRELATED = SamplingPolicy(PolicyKind.JOINTLY_CORRELATED)
 SINGLE_MIND = SamplingPolicy(PolicyKind.INDEPENDENT_LOCAL, single_mind=True)
 
 
-class MindId(NamedTuple):
-    observer: str
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.observer}:{self.index}"
+MAX_OUTCOMES = int(np.iinfo(np.int16).max)  # outcomes per event that an int16 column indexes
 
 
 @dataclass(frozen=True)
@@ -102,6 +91,10 @@ class MindEnsemble:
             raise ValueError(f"ensemble size must be >= 1, got {self.size}")
         if not (len(self.events) == len(self.outcome_labels) == len(self.assignments)):
             raise ValueError("events, outcome_labels and assignments must align")
+        for event, labels in zip(self.events, self.outcome_labels):
+            if len(labels) > MAX_OUTCOMES:
+                raise ValueError(f"event {event!r} has {len(labels)} outcomes; int16 "
+                                 f"assignment columns hold at most {MAX_OUTCOMES}")
         frozen = []
         for arr in self.assignments:
             arr = np.asarray(arr, dtype=np.int16)
@@ -112,10 +105,6 @@ class MindEnsemble:
             frozen.append(arr)
         object.__setattr__(self, "assignments", tuple(frozen))
 
-    @property
-    def mind_ids(self) -> tuple[MindId, ...]:
-        return tuple(MindId(self.observer, i) for i in range(self.size))
-
     def event_index(self, event_id: str) -> int:
         try:
             return self.events.index(event_id)
@@ -123,7 +112,8 @@ class MindEnsemble:
             raise KeyError(f"unknown event {event_id!r} for observer {self.observer!r}") from None
 
     def outcomes(self, event_id: str) -> np.ndarray:
-        """Outcome labels of all minds at one event, as a string array."""
+        """Decode helper: outcome labels of all minds at one event, as an
+        object array. Computations use the ``assignments`` index columns."""
         k = self.event_index(event_id)
         return np.asarray(self.outcome_labels[k], dtype=object)[self.assignments[k]]
 
@@ -254,8 +244,6 @@ def split_local(ensemble: MindEnsemble, event_id: str, probs: Mapping) -> MindEn
 
 
 def _joint_table(dist, n_observers: int) -> Mapping:
-    if isinstance(dist, BranchDecomposition):
-        dist = dist.joint_distribution()
     if _split_form(dist) != "conditional":
         raise ValueError("joint distribution keys must be outcome tuples")
     sample = next(iter(dist))
@@ -334,22 +322,6 @@ def proportions(ensemble: MindEnsemble, event_id: str) -> dict[str, Fraction]:
             for label, c in zip(ensemble.outcome_labels[k], counts)}
 
 
-def history_counts(ensemble: MindEnsemble) -> dict[tuple[str, ...], int]:
-    """How many minds followed each full branch history."""
-    class_of_mind, class_keys = _history_classes([ensemble])
-    counts = np.bincount(class_of_mind, minlength=len(class_keys))
-    return {key: int(c) for key, c in zip(class_keys, counts)}
-
-
-def exchange_minds(ensemble: MindEnsemble, permutation: np.ndarray) -> MindEnsemble:
-    """Reassign histories among minds; physics-side data cannot notice this."""
-    perm = np.asarray(permutation)
-    if sorted(perm.tolist()) != list(range(ensemble.size)):
-        raise ValueError("permutation must rearrange exactly the mind indices")
-    return replace(ensemble,
-                   assignments=tuple(arr[perm] for arr in ensemble.assignments))
-
-
 # ---------------------------------------------------------------------------
 # Mindless-hulk mismatch and report consistency
 
@@ -370,30 +342,38 @@ def mismatch_probability(policy: SamplingPolicy, decomp: BranchDecomposition,
     if len(decomp.subsystems) != 2:
         raise ValueError("mismatch probability is defined for two observers")
     obs_a, obs_b = decomp.subsystems
-    support = set(decomp.joint_distribution().keys())
+    dist_a, dist_b = marginal_for(decomp, obs_a), marginal_for(decomp, obs_b)
+    labels_a, labels_b = sorted(dist_a), sorted(dist_b)
 
     if policy.kind is PolicyKind.JOINTLY_CORRELATED:
         joint = decomp.joint_distribution()
         tuples = sorted(joint.keys())
         idx = sample_indices(rng.uniforms(trials, "joint", event_id),
                              [joint[t] for t in tuples])
-        pairs = [tuples[i] for i in idx]
-        return sum(1 for p in pairs if p not in support) / trials
-
-    if not policy.single_mind:
+        ia = np.asarray([labels_a.index(a) for a, _ in tuples])[idx]
+        ib = np.asarray([labels_b.index(b) for _, b in tuples])[idx]
+    elif not policy.single_mind:
         raise ValueError("independent-local mismatch trials require the single-mind policy "
                          "(one mind per observer per trial)")
-    dist_a = marginal_for(decomp, obs_a)
-    dist_b = marginal_for(decomp, obs_b)
-    labels_a = sorted(dist_a.keys())
-    labels_b = sorted(dist_b.keys())
-    ia = sample_indices(rng.uniforms(trials, "local", obs_a, event_id),
-                        [dist_a[o] for o in labels_a])
-    ib = sample_indices(rng.uniforms(trials, "local", obs_b, event_id),
-                        [dist_b[o] for o in labels_b])
-    support_idx = {(labels_a.index(a), labels_b.index(b)) for a, b in support}
-    mism = sum(1 for pair in zip(ia.tolist(), ib.tolist()) if pair not in support_idx)
-    return mism / trials
+    else:
+        ia = sample_indices(rng.uniforms(trials, "local", obs_a, event_id),
+                            [dist_a[o] for o in labels_a])
+        ib = sample_indices(rng.uniforms(trials, "local", obs_b, event_id),
+                            [dist_b[o] for o in labels_b])
+    return count_off_support(decomp, (labels_a, labels_b), ia, ib) / trials
+
+
+def count_off_support(decomp: BranchDecomposition,
+                      labels: tuple[Sequence[str], Sequence[str]],
+                      ia: np.ndarray, ib: np.ndarray) -> int:
+    """How many pairs (labels[0][ia[i]], labels[1][ib[i]]) are not a branch of
+    the two-subsystem ``decomp``, i.e. pair minds that track different branches."""
+    labels_a, labels_b = labels
+    support = np.zeros((len(labels_a), len(labels_b)), dtype=bool)
+    for a, b in decomp.joint_distribution():
+        if a in labels_a and b in labels_b:
+            support[labels_a.index(a), labels_b.index(b)] = True
+    return int(np.count_nonzero(~support[ia, ib]))
 
 
 def marginal_for(decomp: BranchDecomposition, observer: str) -> dict[str, float]:
@@ -438,13 +418,22 @@ def report_correlation(ensembles: list[MindEnsemble], decomp: BranchDecompositio
                              f"{report_event!r} event")
         report_name = (report_subsystem or {}).get(ens.observer, f"{ens.observer}_report")
         cond = _deterministic_report_map(decomp, ens.observer, report_name)
-        own = ens.outcomes(measure_event)
-        seen = ens.outcomes(report_event)
-        consistent = int(np.sum(np.asarray([cond[o] for o in own.tolist()], dtype=object) == seen))
+        k_own, k_seen = ens.event_index(measure_event), ens.event_index(report_event)
+        own_labels, seen_labels = ens.outcome_labels[k_own], ens.outcome_labels[k_seen]
+        width = len(seen_labels)
+        # table[i, j]: minds with own outcome i that perceive report j
+        table = np.bincount(ens.assignments[k_own].astype(np.int64) * width
+                            + ens.assignments[k_seen], minlength=len(own_labels) * width)
+        consistent = 0
         observed: dict[str, dict[str, int]] = {}
-        for o, s in zip(own.tolist(), seen.tolist()):
-            row = observed.setdefault(o, {})
-            row[s] = row.get(s, 0) + 1
+        for own, row in zip(own_labels, table.reshape(-1, width).tolist()):
+            if not any(row):
+                continue
+            if own not in cond:
+                raise KeyError(own)
+            observed[own] = {seen: c for seen, c in zip(seen_labels, row) if c}
+            if cond[own] in seen_labels:
+                consistent += row[seen_labels.index(cond[own])]
         checks.append(ReportCheck(ens.observer, ens.size, consistent, cond, observed))
     return checks
 
@@ -461,40 +450,3 @@ def _deterministic_report_map(decomp: BranchDecomposition, own: str, report: str
         out[outcome] = next(iter(dist))[0]
     return out
 
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def ensembles_to_json(ensembles: list[MindEnsemble]) -> dict:
-    rng = ensembles[0].rng if ensembles else None
-    return {
-        "rng": rng.to_dict() if rng else None,
-        "ensembles": [
-            {
-                "observer": ens.observer,
-                "size": ens.size,
-                "policy": ens.policy.name,
-                "events": list(ens.events),
-                "minds": [
-                    {"id": str(MindId(ens.observer, i)), "history": list(ens.history(i))}
-                    for i in range(ens.size)
-                ],
-            }
-            for ens in ensembles
-        ],
-    }
-
-
-def write_history_csv(path, ensembles: list[MindEnsemble]) -> None:
-    """CSV of (mind_id, event_id, outcome) rows, headed by the stream spec."""
-    with open(path, "w", newline="") as fh:
-        if ensembles:
-            fh.write(f"# rng {json.dumps(ensembles[0].rng.to_dict(), sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["mind_id", "event_id", "outcome"])
-        for ens in ensembles:
-            for k, event in enumerate(ens.events):
-                labels = ens.outcome_labels[k]
-                for i, a in enumerate(ens.assignments[k].tolist()):
-                    writer.writerow([str(MindId(ens.observer, i)), event, labels[a]])

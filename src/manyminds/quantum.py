@@ -49,11 +49,7 @@ __all__ = [
     "variance",
     "partial_trace",
     "trace_distance",
-    "marginal_distribution",
     "conditional_distribution",
-    "state_to_dict",
-    "state_from_dict",
-    "decomposition_to_dict",
 ]
 
 ATOL = 1e-9        # default comparison tolerance
@@ -197,13 +193,6 @@ class SubsystemLayout:
     def labels(self, name: str) -> tuple[str, ...]:
         return self.subsystems[self.axis(name)][1]
 
-    def basis_labels(self, flat_index: int) -> tuple[str, ...]:
-        """Per-subsystem labels of one joint basis vector."""
-        out = []
-        for idx, (_, labels) in zip(np.unravel_index(flat_index, self.dims), self.subsystems):
-            out.append(labels[idx])
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -296,14 +285,6 @@ class BranchDecomposition:
 
     def joint_distribution(self) -> dict[tuple[str, ...], float]:
         return {br.labels: br.weight for br in self.branches}
-
-    def outcome_labels(self, name: str) -> tuple[str, ...]:
-        """Distinct outcome labels of one subsystem, in branch order."""
-        pos = self.subsystems.index(name)
-        seen: dict[str, None] = {}
-        for br in self.branches:
-            seen.setdefault(br.labels[pos], None)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -540,17 +521,6 @@ def partial_trace(state: StateVector, keep: str) -> DensityMatrix:
 # Distributions over branch outcomes
 
 
-def marginal_distribution(decomp: BranchDecomposition, names: tuple[str, ...] | list[str],
-                          ) -> dict[tuple[str, ...], float]:
-    """Marginal outcome distribution over a subset of decomposed subsystems."""
-    pos = [decomp.subsystems.index(name) for name in names]
-    out: dict[tuple[str, ...], float] = {}
-    for br in decomp.branches:
-        key = tuple(br.labels[p] for p in pos)
-        out[key] = out.get(key, 0.0) + br.weight
-    return out
-
-
 def conditional_distribution(decomp: BranchDecomposition, given: tuple[str, ...] | list[str],
                              target: tuple[str, ...] | list[str],
                              ) -> dict[tuple[str, ...], dict[tuple[str, ...], float]]:
@@ -568,40 +538,3 @@ def conditional_distribution(decomp: BranchDecomposition, given: tuple[str, ...]
         joint[g_key] = {t_key: w / total for t_key, w in row.items()}
     return joint
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def state_to_dict(state: StateVector) -> dict:
-    return {
-        "layout": {
-            "subsystems": [
-                {"name": name, "labels": list(labels)}
-                for name, labels in state.layout.subsystems
-            ]
-        },
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
-    }
-
-
-def state_from_dict(data: dict) -> StateVector:
-    subsystems = tuple(
-        (sub["name"], tuple(sub["labels"])) for sub in data["layout"]["subsystems"])
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    return StateVector(SubsystemLayout(subsystems), amps)
-
-
-def decomposition_to_dict(decomp: BranchDecomposition) -> dict:
-    return {
-        "context": {name: basis for name, basis in zip(decomp.subsystems, decomp.bases)},
-        "branches": [
-            {
-                "labels": list(br.labels),
-                "re": float(br.amplitude.real),
-                "im": float(br.amplitude.imag),
-                "weight": float(br.weight),
-            }
-            for br in decomp.branches
-        ],
-    }

@@ -11,6 +11,7 @@ same scopes is bit-identical.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,10 +21,15 @@ __all__ = ["RngSpec", "sample_indices"]
 
 # Philox.advance(k) skips 4k doubles; chunk boundaries must sit on 4-draw blocks.
 _BLOCK = 4
+# joins the scope parts of a key; inside a part it would let two scopes collide
+_SEP = "\x1f"
 
 
 def _derive_key(master_seed: int, scope: tuple) -> int:
-    payload = "\x1f".join([str(int(master_seed))] + [str(s) for s in scope])
+    parts = [str(s) for s in scope]
+    if any(_SEP in part for part in parts):
+        raise ValueError(f"scope parts must not contain {_SEP!r}, got {scope!r}")
+    payload = _SEP.join([str(int(master_seed))] + parts)
     digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=16).digest()
     return int.from_bytes(digest, "little")
 
@@ -32,8 +38,9 @@ def _derive_key(master_seed: int, scope: tuple) -> int:
 class RngSpec:
     """Master seed plus a per-scope stream derivation rule.
 
-    ``threads`` bounds the number of workers used to fill large blocks of
-    uniforms. It never affects the values produced.
+    ``threads`` is the number of chunks a large block of uniforms is split
+    into; at most ``os.cpu_count()`` workers fill them. It never affects the
+    values produced.
     """
 
     master_seed: int
@@ -69,7 +76,7 @@ class RngSpec:
             bg.advance(a // _BLOCK)
             return np.random.Generator(bg).random(b - a)
 
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(self.threads, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(fill, bounds))
         return np.concatenate(parts)
 
@@ -78,9 +85,17 @@ class RngSpec:
 
 
 def sample_indices(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Map uniforms to outcome indices by inverse CDF over ``probs``."""
-    cum = np.cumsum(np.asarray(probs, dtype=float))
+    """Map uniforms to outcome indices by inverse CDF over ``probs``.
+
+    An outcome of probability 0 is never returned. A uniform at or above the
+    last cumulative sum (possible when ``probs`` sums to slightly under 1)
+    maps onto the last outcome with positive probability.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if np.isnan(probs).any() or (probs < 0).any():
+        raise ValueError(f"probabilities must be non-negative numbers, got {probs}")
+    cum = np.cumsum(probs)
     if abs(cum[-1] - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {cum[-1]}, expected 1")
     idx = np.searchsorted(cum, uniforms, side="right")
-    return np.minimum(idx, len(cum) - 1)
+    return np.minimum(idx, np.flatnonzero(probs)[-1])

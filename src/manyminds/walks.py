@@ -11,7 +11,6 @@ by 2*exp(-2*eps^2*N) for N trials.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .quantum import ATOL, BranchDecomposition
+from .quantum import ATOL
 from .rng import RngSpec, sample_indices
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "chi_square_pvalue",
     "tree_spec_from_json",
     "load_tree_spec",
-    "tree_event_from_branches",
-    "write_walk_csv",
 ]
 
 
@@ -230,20 +227,3 @@ def load_tree_spec(path) -> TreeSpec:
     with open(path) as fh:
         return tree_spec_from_json(json.load(fh))
 
-
-def tree_event_from_branches(event_id: str, decomp: BranchDecomposition) -> TreeEvent:
-    """Bridge: one branch decomposition becomes one tree event, branch weights
-    becoming node probabilities. Multi-observer outcomes join with commas."""
-    dist = decomp.joint_distribution()
-    keys = sorted(dist.keys())
-    return TreeEvent(event_id,
-                     tuple(dist[k] for k in keys),
-                     tuple(",".join(k) for k in keys))
-
-
-def write_walk_csv(path, result: WalkResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["leaf_path", "count", "exact_prob"])
-        for leaf, prob, count in zip(result.tree.paths, result.tree.probs, result.counts):
-            writer.writerow(["/".join(leaf), int(count), repr(float(prob))])

@@ -76,8 +76,10 @@ class TestConfig:
             EprConfig(RngSpec(1), alice_axis=(2.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             EprConfig(RngSpec(1), n_minds=0)
-        with pytest.raises(ValueError):
-            EprConfig(RngSpec(1), trials=0)
+
+    def test_rejects_policy_given_as_text(self):
+        with pytest.raises(ValueError, match="JOINTLY_CORRELATED"):
+            EprConfig(RngSpec(1), policy="joint")
 
     def test_to_dict(self):
         cfg = EprConfig(RngSpec(5), alice_axis="z", bob_axis=45.0,

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from manyminds import cli
 from manyminds.ghz import (
     FLIP_CANDIDATES,
-    IntersectionCell,
-    PigeonholeReport,
+    OBSERVERS,
     Scenario,
     SCENARIOS,
-    ScenarioPartition,
     ScenarioSample,
-    TripleOutcome,
     all_cells,
     allowed_triples,
-    cell_of,
     enumerate_local_assignments,
     ghz_state,
     missing_witness_count,
@@ -26,8 +23,6 @@ from manyminds.ghz import (
     sign_flip_witnesses,
     simulate_scenarios,
     verify_constraints,
-    witness_table,
-    write_cell_histogram_csv,
 )
 from manyminds.quantum import branch_decompose, make_qubit_state, tensor
 from manyminds.rng import RngSpec
@@ -41,6 +36,25 @@ EXAMPLE_CELL_TRIPLES = (
     ("-", "-", "+"),
     ("+", "+", "+"),
 )
+# its allowed-triple index per scenario (lexicographic order), and its cell id
+EXAMPLE_ROW = (2, 2, 3, 0)
+EXAMPLE_CELL_ID = ((2 * 4 + 2) * 4 + 3) * 4 + 0
+
+
+def decode(row):
+    """Sign-triples of one index row, through the public allowed-triple lists."""
+    return tuple(allowed_triples(scen).triples[k] for scen, k in zip(SCENARIOS, row))
+
+
+def label_witnesses(row):
+    """Reference: flip candidates found by comparing sign labels one by one."""
+    triples = decode(row)
+
+    def sign(observer, scen):
+        return triples[scen.index - 1][OBSERVERS.index(observer)]
+
+    return tuple((observer, pair) for observer, pair in FLIP_CANDIDATES
+                 if sign(observer, pair[0]) != sign(observer, pair[1]))
 
 
 def band(p, n, sigmas=4):
@@ -143,11 +157,6 @@ class TestPartitions:
         for scen in SCENARIOS:
             assert allowed_triples(scen) == allowed_triples(scen)
 
-    def test_wrong_triples_rejected(self):
-        good = allowed_triples(Scenario.XXX).triples
-        with pytest.raises(ValueError):
-            ScenarioPartition(Scenario.XYY, good)
-
     def test_branch_weights_quarter_each(self):
         decomp = branch_decompose(ghz_state(), {"p1": "x", "p2": "x", "p3": "x"})
         dist = decomp.joint_distribution()
@@ -193,39 +202,47 @@ class TestEnumeration:
 
 class TestCells:
     def test_example_cell_witnesses_and_id(self):
-        outcome = TripleOutcome(EXAMPLE_CELL_TRIPLES)
-        cell = cell_of(outcome)
-        # lexicographic triple indices per scenario: (2, 2, 3, 0), base 4
-        assert cell.cell_id == ((2 * 4 + 2) * 4 + 3) * 4 + 0
-        assert cell.cell_id == 172
-        witnesses = sign_flip_witnesses(outcome)
+        assert decode(EXAMPLE_ROW) == EXAMPLE_CELL_TRIPLES
+        assert ScenarioSample([EXAMPLE_ROW]).cell_ids().tolist() == [EXAMPLE_CELL_ID]
+        assert EXAMPLE_CELL_ID == 172
+        assert tuple(all_cells()[EXAMPLE_CELL_ID]) == EXAMPLE_ROW
+        witnesses = sign_flip_witnesses(EXAMPLE_ROW)
         pairs = {(w.observer, w.scenarios) for w in witnesses}
         assert ("bob", (Scenario.XXX, Scenario.YXY)) in pairs
         assert ("carol", (Scenario.XYY, Scenario.YXY)) in pairs
-        first = sign_flip_witness(outcome)
+        first = sign_flip_witness(EXAMPLE_ROW)
         assert (first.observer, first.scenarios) == ("alice", (Scenario.YXY, Scenario.YYX))
 
     def test_disallowed_triple_rejected(self):
-        with pytest.raises(ValueError, match="does not allow"):
-            TripleOutcome((("+", "+", "+"),) + EXAMPLE_CELL_TRIPLES[1:])
+        # a disallowed triple has no index; indices outside 0..3 are refused
+        assert ("+", "+", "+") not in allowed_triples(Scenario.XXX).triples
+        for bad in (4, -1, 260):
+            with pytest.raises(ValueError, match="0..3"):
+                ScenarioSample([(bad,) + EXAMPLE_ROW[1:]])
+            with pytest.raises(ValueError, match="0..3"):
+                sign_flip_witnesses((bad,) + EXAMPLE_ROW[1:])
 
     def test_cells_differ_when_one_scenario_differs(self):
-        base = TripleOutcome(EXAMPLE_CELL_TRIPLES)
-        other = TripleOutcome((EXAMPLE_CELL_TRIPLES[0], ("+", "+", "+"))
-                              + EXAMPLE_CELL_TRIPLES[2:])
-        assert cell_of(base).cell_id != cell_of(other).cell_id
+        other = (EXAMPLE_ROW[0], 3) + EXAMPLE_ROW[2:]
+        ids = ScenarioSample([EXAMPLE_ROW, other]).cell_ids()
+        assert ids[0] != ids[1]
 
     def test_256_distinct_cells_round_trip(self):
         cells = all_cells()
-        assert len({c.cell_id for c in cells}) == 256
-        for cell in cells:
-            assert cell_of(cell.as_outcome()).cell_id == cell.cell_id
+        assert cells.shape == (256, 4)
+        assert ScenarioSample(cells).cell_ids().tolist() == list(range(256))
+        for row in cells:
+            again = tuple(allowed_triples(scen).triples.index(t)
+                          for scen, t in zip(SCENARIOS, decode(row)))
+            assert again == tuple(row)
 
     def test_id_validation(self):
-        with pytest.raises(ValueError):
-            IntersectionCell(256, EXAMPLE_CELL_TRIPLES)
-        with pytest.raises(ValueError, match="does not match"):
-            IntersectionCell(0, EXAMPLE_CELL_TRIPLES)
+        with pytest.raises(ValueError, match="shape"):
+            ScenarioSample(np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match="shape"):
+            ScenarioSample(np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="per scenario"):
+            sign_flip_witnesses(EXAMPLE_ROW[:3])
 
 
 class TestSimulation:
@@ -243,12 +260,6 @@ class TestSimulation:
         for scen in SCENARIOS:
             for obs in ("alice", "bob", "carol"):
                 assert abs(sample.plus_fraction(obs, scen) - 0.5) <= band(0.5, 50000)
-
-    def test_no_disallowed_triples_and_sequence_protocol(self):
-        sample = simulate_scenarios(500, RngSpec(53))
-        assert len(sample) == 500
-        for outcome in sample[:50]:
-            assert isinstance(outcome, TripleOutcome)
 
     def test_scenario_draws_independent(self):
         sample = simulate_scenarios(40000, RngSpec(54))
@@ -278,19 +289,19 @@ class TestPigeonhole:
             assert abs(float(report.frequency(cell_id)) - p) <= tol
 
     def test_single_outcome(self):
-        report = pigeonhole_report([TripleOutcome(EXAMPLE_CELL_TRIPLES)])
+        report = pigeonhole_report(ScenarioSample([EXAMPLE_ROW]))
         assert report.max_frequency == 1
-        assert report.max_cell_id == cell_of(TripleOutcome(EXAMPLE_CELL_TRIPLES)).cell_id
+        assert report.max_cell_id == EXAMPLE_CELL_ID
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pigeonhole_report([])
+            pigeonhole_report(ScenarioSample(np.zeros((0, 4), dtype=int)))
 
     def test_csv_export(self, tmp_path):
-        report = pigeonhole_report(simulate_scenarios(1000, RngSpec(57)))
         out = tmp_path / "cells.csv"
-        write_cell_histogram_csv(out, report)
-        lines = out.read_text().strip().splitlines()
+        assert cli.main(["ghz", "--minds", "1000", "--seed", "57", "--format", "csv",
+                         "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().strip().splitlines() if not l.startswith("# ")]
         assert lines[0] == "cell_id,count,frequency"
         assert len(lines) == 257
 
@@ -302,25 +313,30 @@ class TestSignFlips:
             assert pair[0].axes[idx] == pair[1].axes[idx]
 
     def test_every_cell_has_a_witness(self):
-        for cell in all_cells():
-            assert len(sign_flip_witnesses(cell)) >= 1
+        for row in all_cells():
+            assert len(sign_flip_witnesses(row)) >= 1
 
     def test_sampled_triples_always_witnessed(self):
         sample = simulate_scenarios(100000, RngSpec(58))
         assert missing_witness_count(sample) == 0
 
     def test_vectorized_agrees_with_per_outcome(self):
-        sample = simulate_scenarios(200, RngSpec(59))
-        per_outcome = sum(1 for o in sample if not sign_flip_witnesses(o))
-        assert missing_witness_count(sample) == per_outcome
+        for sample in (ScenarioSample(all_cells()), simulate_scenarios(200, RngSpec(59))):
+            per_outcome = sum(1 for row in sample.indices if not sign_flip_witnesses(row))
+            by_labels = sum(1 for row in sample.indices if not label_witnesses(row))
+            assert missing_witness_count(sample) == per_outcome == by_labels
+
+    def test_index_witnesses_match_label_reference(self):
+        for row in all_cells():
+            found = tuple((w.observer, w.scenarios) for w in sign_flip_witnesses(row))
+            assert found == label_witnesses(row)
 
     def test_witness_table_covers_all_cells(self):
-        rows = witness_table()
+        rows = [sign_flip_witness(row) for row in all_cells()]
         assert len(rows) == 256
-        assert {row["cell_id"] for row in rows} == set(range(256))
-        for row in rows:
-            assert row["observer"] in ("alice", "bob", "carol")
-            assert row["axis"] in ("x", "y")
+        for w in rows:
+            assert w.observer in ("alice", "bob", "carol")
+            assert w.axis in ("x", "y")
 
 
 class TestScenarioMeta:

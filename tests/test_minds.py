@@ -1,6 +1,7 @@
 """Mind-ensemble splitting, proportions, mismatch and report consistency."""
-import json
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,8 @@ from manyminds.minds import (
     INDEPENDENT_LOCAL,
     JOINTLY_CORRELATED,
     SINGLE_MIND,
-    MindId,
-    ensembles_to_json,
-    exchange_minds,
-    history_counts,
+    MindEnsemble,
+    count_off_support,
     init_ensemble,
     marginal_for,
     mismatch_probability,
@@ -22,10 +21,9 @@ from manyminds.minds import (
     report_correlation,
     split_joint,
     split_local,
-    write_history_csv,
 )
-from manyminds.quantum import Branch, BranchDecomposition
-from manyminds.rng import RngSpec
+from manyminds.quantum import Branch, BranchDecomposition, conditional_distribution
+from manyminds.rng import RngSpec, sample_indices
 
 SIGNIFICANCE = 1e-4
 
@@ -40,15 +38,62 @@ def decomp(subsystems, weights):
 
 
 SINGLET_Z = decomp(("alice", "bob"), {("+", "-"): 0.5, ("-", "+"): 0.5})
+# a support that is not a permutation: x pairs with u or v, y only with w
+SKEWED = decomp(("a", "b"), {("x", "u"): 0.2, ("x", "v"): 0.3, ("y", "w"): 0.5})
+
+
+# Label-loop references: the per-mind computations the index paths replaced.
+
+def label_off_support(d, labels, ia, ib):
+    support = set(d.joint_distribution())
+    pairs = zip((labels[0][i] for i in ia.tolist()), (labels[1][j] for j in ib.tolist()))
+    return sum(1 for p in pairs if p not in support)
+
+
+def label_mismatch_probability(policy, d, trials, rng, event_id="mismatch"):
+    support = set(d.joint_distribution())
+    if policy is JOINTLY_CORRELATED:
+        joint = d.joint_distribution()
+        tuples = sorted(joint)
+        idx = sample_indices(rng.uniforms(trials, "joint", event_id),
+                             [joint[t] for t in tuples])
+        return sum(1 for i in idx if tuples[i] not in support) / trials
+    obs_a, obs_b = d.subsystems
+    dist_a, dist_b = marginal_for(d, obs_a), marginal_for(d, obs_b)
+    labels_a, labels_b = sorted(dist_a), sorted(dist_b)
+    ia = sample_indices(rng.uniforms(trials, "local", obs_a, event_id),
+                        [dist_a[o] for o in labels_a])
+    ib = sample_indices(rng.uniforms(trials, "local", obs_b, event_id),
+                        [dist_b[o] for o in labels_b])
+    return label_off_support(d, (labels_a, labels_b), ia, ib) / trials
+
+
+def label_report_checks(ensembles, d, measure_event, report_event):
+    out = []
+    for ens in ensembles:
+        cond = conditional_distribution(d, [ens.observer], [f"{ens.observer}_report"])
+        expected = {own: next(iter(dist))[0] for (own,), dist in cond.items()}
+        own, seen = ens.outcomes(measure_event), ens.outcomes(report_event)
+        consistent = int(np.sum(np.asarray([expected[o] for o in own.tolist()],
+                                           dtype=object) == seen))
+        observed = {}
+        for o, r in zip(own.tolist(), seen.tolist()):
+            row = observed.setdefault(o, {})
+            row[r] = row.get(r, 0) + 1
+        out.append((ens.observer, ens.size, consistent, expected, observed))
+    return out
+
+
+def as_tuples(checks):
+    return [(c.observer, c.size, c.consistent, c.expected, c.observed) for c in checks]
 
 
 class TestInit:
     def test_population_and_ids(self):
         ens = init_ensemble("alice", 5, RngSpec(1))
         assert ens.size == 5
-        assert ens.mind_ids == tuple(MindId("alice", i) for i in range(5))
-        assert str(ens.mind_ids[3]) == "alice:3"
         assert ens.events == ()
+        assert ens.assignments == ()
 
     def test_single_mind_forces_one(self):
         assert init_ensemble("alice", 500, RngSpec(1), SINGLE_MIND).size == 1
@@ -71,7 +116,8 @@ class TestSplitLocal:
         ens = init_ensemble("alice", 50, RngSpec(2))
         ens = split_local(ens, "a", {"H": 0.5, "T": 0.5})
         ens = split_local(ens, "b", {"0": 0.5, "1": 0.5})
-        assert ens.mind_ids == tuple(MindId("alice", i) for i in range(50))
+        assert ens.size == 50
+        assert all(col.shape == (50,) for col in ens.assignments)
         assert all(len(ens.history(i)) == 2 for i in range(50))
 
     def test_deterministic_per_seed_and_observer(self):
@@ -104,7 +150,7 @@ class TestSplitLocal:
         n = 30000
         ens = split_local(init_ensemble("a", n, RngSpec(12)), "u", {"a": 1 / 3, "b": 2 / 3})
         ens = split_local(ens, "v", {"x": 0.5, "y": 0.5})
-        counts = history_counts(ens)
+        counts = Counter(ens.history(i) for i in range(n))
         keys = sorted(counts)
         expected = {("a", "x"): 1 / 6, ("a", "y"): 1 / 6,
                     ("b", "x"): 1 / 3, ("b", "y"): 1 / 3}
@@ -130,6 +176,22 @@ class TestSplitLocal:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             split_local(init_ensemble("a", 4, RngSpec(1)), "m", {"+": 0.6, "-": 0.3})
+
+    def test_too_many_outcomes_rejected(self):
+        # int16 columns would wrap a 40,000-outcome split to negative indices
+        probs = {f"o{i:05d}": 1 / 40000 for i in range(40000)}
+        with pytest.raises(ValueError, match="int16"):
+            split_local(init_ensemble("a", 4, RngSpec(1)), "m", probs)
+
+    def test_outcome_count_limit_is_int16_max(self):
+        def ensemble(k):
+            return MindEnsemble("a", 1, RngSpec(1), events=("m",),
+                                outcome_labels=(tuple(map(str, range(k))),),
+                                assignments=(np.array([k - 1]),))
+
+        assert ensemble(32767).assignments[0].tolist() == [32766]
+        with pytest.raises(ValueError, match="int16"):
+            ensemble(32768)
 
     def test_missing_conditional_history_rejected(self):
         ens = split_local(init_ensemble("a", 100, RngSpec(1)), "m", {"+": 0.5, "-": 0.5})
@@ -189,21 +251,6 @@ class TestSplitJoint:
         assert marginal_for(SINGLET_Z, "alice") == {"+": 0.5, "-": 0.5}
 
 
-class TestExchange:
-    def test_swap_preserves_proportions(self):
-        ens = split_local(init_ensemble("a", 1000, RngSpec(5)), "m", {"+": 0.3, "-": 0.7})
-        perm = np.arange(1000)[::-1]
-        swapped = exchange_minds(ens, perm)
-        assert proportions(swapped, "m") == proportions(ens, "m")
-        assert swapped.history(0) == ens.history(999)
-
-    def test_invalid_permutation(self):
-        ens = init_ensemble("a", 3, RngSpec(1))
-        ens = split_local(ens, "m", {"+": 0.5, "-": 0.5})
-        with pytest.raises(ValueError):
-            exchange_minds(ens, np.array([0, 0, 2]))
-
-
 class TestMismatch:
     def test_single_mind_rate_is_half_for_singlet(self):
         n = 20000
@@ -213,6 +260,27 @@ class TestMismatch:
     def test_joint_policy_never_mismatches(self):
         rate = mismatch_probability(JOINTLY_CORRELATED, SINGLET_Z, 5000, RngSpec(32))
         assert rate == 0.0
+
+    @pytest.mark.parametrize("d", [SINGLET_Z, SKEWED], ids=["singlet", "skewed"])
+    @pytest.mark.parametrize("policy", [SINGLE_MIND, JOINTLY_CORRELATED])
+    def test_matches_label_reference(self, policy, d):
+        rng = RngSpec(33)
+        assert (mismatch_probability(policy, d, 5000, rng)
+                == label_mismatch_probability(policy, d, 5000, rng))
+
+    @pytest.mark.parametrize("d, labels", [
+        (SINGLET_Z, (("+", "-"), ("+", "-"))),
+        (SINGLET_Z, (("-", "+"), ("+", "-"))),
+        (SKEWED, (("x", "y"), ("u", "v", "w"))),
+        (SKEWED, (("y", "z", "x"), ("w", "u", "v"))),
+    ])
+    def test_off_support_count_matches_label_reference(self, d, labels):
+        rng = RngSpec(34).stream("pairs")
+        ia = rng.integers(0, len(labels[0]), 3000)
+        ib = rng.integers(0, len(labels[1]), 3000)
+        got = count_off_support(d, labels, ia, ib)
+        assert got == label_off_support(d, labels, ia, ib)
+        assert 0 < got < 3000
 
     def test_multi_mind_independent_rejected(self):
         with pytest.raises(ValueError, match="single-mind"):
@@ -240,6 +308,14 @@ class TestReportCorrelation:
             (("-",), ("+",)): {("+", "-"): 1.0},
         })
 
+    def _local_ensembles(self, n, seed):
+        rng = RngSpec(seed)
+        ens = [split_local(init_ensemble(o, n, rng), "measure", {"+": 0.5, "-": 0.5})
+               for o in ("alice", "bob")]
+        # each report follows the own outcome 9 times in 10, so some minds disagree
+        table = {("+",): {"-": 0.9, "+": 0.1}, ("-",): {"+": 0.9, "-": 0.1}}
+        return [split_local(e, "report", table) for e in ens]
+
     def test_all_minds_consistent(self):
         checks = report_correlation(self._ensembles(500, 41), POST_COMM,
                                     "measure", "report")
@@ -249,16 +325,33 @@ class TestReportCorrelation:
             assert c.consistent == 500
         assert checks[0].expected == {"+": "-", "-": "+"}
 
+    def test_matches_label_reference(self):
+        for ens in (self._ensembles(500, 43), self._local_ensembles(500, 44)):
+            checks = report_correlation(ens, POST_COMM, "measure", "report")
+            assert as_tuples(checks) == label_report_checks(ens, POST_COMM, "measure", "report")
+
     def test_corrupted_history_detected(self):
         alice, bob = self._ensembles(10, 42)
         cols = list(alice.assignments)
         bad = cols[1].copy()
         bad[0] = 1 - bad[0]
-        from dataclasses import replace
         alice_bad = replace(alice, assignments=tuple(cols[:1]) + (bad,))
         checks = report_correlation([alice_bad, bob], POST_COMM, "measure", "report")
         assert not checks[0].all_consistent
         assert checks[0].consistent == 9
+        assert as_tuples(checks) == label_report_checks([alice_bad, bob], POST_COMM,
+                                                        "measure", "report")
+
+    def test_unmapped_outcome_raises_like_reference(self):
+        # a measured outcome with no entry in the report map cannot be judged
+        rng = RngSpec(45)
+        ens = [init_ensemble(o, 20, rng) for o in ("alice", "bob")]
+        ens = [split_local(e, "measure", {"+": 0.5, "0": 0.5}) for e in ens]
+        ens = [split_local(e, "report", {"+": 0.5, "-": 0.5}) for e in ens]
+        with pytest.raises(KeyError, match="'0'"):
+            report_correlation(ens, POST_COMM, "measure", "report")
+        with pytest.raises(KeyError, match="'0'"):
+            label_report_checks(ens, POST_COMM, "measure", "report")
 
     def test_nondeterministic_report_rejected(self):
         fuzzy = decomp(("alice", "alice_report"),
@@ -277,23 +370,3 @@ class TestReportCorrelation:
         with pytest.raises(ValueError, match="missing"):
             report_correlation(ens, POST_COMM, "measure", "report")
 
-
-class TestExport:
-    def test_json_round_trip_fields(self):
-        ens = split_local(init_ensemble("a", 3, RngSpec(7)), "m", {"+": 0.5, "-": 0.5})
-        blob = ensembles_to_json([ens])
-        assert blob["rng"] == {"master_seed": 7, "threads": 1}
-        assert blob["ensembles"][0]["size"] == 3
-        assert len(blob["ensembles"][0]["minds"]) == 3
-        assert blob["ensembles"][0]["minds"][0]["id"] == "a:0"
-        json.dumps(blob)
-
-    def test_csv_layout(self, tmp_path):
-        ens = split_local(init_ensemble("a", 2, RngSpec(7)), "m", {"+": 0.5, "-": 0.5})
-        path = tmp_path / "hist.csv"
-        write_history_csv(path, [ens])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("# rng")
-        assert lines[1] == "mind_id,event_id,outcome"
-        assert len(lines) == 4
-        assert lines[2].startswith("a:0,m,")

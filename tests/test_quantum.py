@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from manyminds.minds import marginal_for
 from manyminds.quantum import (
     Branch,
     DensityMatrix,
@@ -21,17 +22,13 @@ from manyminds.quantum import (
     axis_vector,
     branch_decompose,
     conditional_distribution,
-    decomposition_to_dict,
     expectation,
     make_qubit_state,
-    marginal_distribution,
     partial_trace,
     pauli,
     premeasure,
     ready_state,
     spin_product,
-    state_from_dict,
-    state_to_dict,
     tensor,
     trace_distance,
     variance,
@@ -259,7 +256,7 @@ def test_branch_weights_sum_to_one(seed):
 
 def test_marginal_and_conditional_distributions():
     decomp = branch_decompose(singlet(), {"p1": "z", "p2": "z"})
-    assert marginal_distribution(decomp, ["p1"]) == pytest.approx({("+",): 0.5, ("-",): 0.5})
+    assert marginal_for(decomp, "p1") == pytest.approx({"+": 0.5, "-": 0.5})
     cond = conditional_distribution(decomp, ["p1"], ["p2"])
     assert cond[("+",)] == pytest.approx({("-",): 1.0})
     assert cond[("-",)] == pytest.approx({("+",): 1.0})
@@ -355,19 +352,3 @@ def test_density_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix("s", np.eye(2))
 
-
-# Serialization --------------------------------------------------------------
-
-def test_state_round_trip():
-    st = tensor([singlet(), ready_state("m", ("+", "-"))])
-    again = state_from_dict(state_to_dict(st))
-    assert again.layout == st.layout
-    assert np.allclose(again.amps, st.amps)
-
-
-def test_decomposition_dict_schema():
-    data = decomposition_to_dict(branch_decompose(singlet(), {"p1": "z", "p2": "z"}))
-    assert data["context"] == {"p1": "z", "p2": "z"}
-    assert data["branches"][0] == {
-        "labels": ["+", "-"], "re": pytest.approx(SQ2), "im": 0.0,
-        "weight": pytest.approx(0.5)}

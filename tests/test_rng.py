@@ -1,7 +1,10 @@
 """Counter-based stream determinism and inverse-CDF sampling."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from manyminds import rng as rng_mod
 from manyminds.rng import RngSpec, sample_indices
 
 
@@ -83,3 +86,52 @@ class TestSampleIndices:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             sample_indices(np.array([0.5]), [0.3, 0.3])
+
+    def test_overflow_never_lands_on_trailing_zero(self):
+        # sums to 1 - 1e-10, inside the tolerance; the uniform lies past the last cumsum
+        assert sample_indices(np.array([0.99999999995]), [1 - 1e-10, 0.0]).tolist() == [0]
+
+    @pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, float("nan"), 0.5],
+                                       [float("nan")]])
+    def test_rejects_negative_or_nan(self, probs):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_indices(np.array([0.5]), probs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=1, max_size=8),
+           shortfall=st.floats(0.0, 1e-10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_probability_never_sampled_property(self, weights, shortfall, seed):
+        assume(sum(weights) > 0)
+        probs = np.asarray(weights) / sum(weights) * (1.0 - shortfall)
+        u = np.concatenate([RngSpec(seed).uniforms(200, "prop"),
+                            [0.0, 1.0 - 1e-10, np.nextafter(1.0, 0.0)]])
+        idx = sample_indices(u, probs)
+        assert np.all(probs[idx] > 0)
+        # draws below the last cumulative sum keep their inverse-CDF index
+        inside = u < np.cumsum(probs)[-1]
+        assert np.array_equal(idx[inside], sample_oracle(u[inside], probs))
+
+
+class TestLimits:
+    def test_separator_inside_scope_part_rejected(self):
+        # ("a\x1fb",) would derive the same key as ("a", "b")
+        with pytest.raises(ValueError, match="must not contain"):
+            RngSpec(1).uniforms(4, "a\x1fb")
+        assert RngSpec(1).uniforms(4, "a", "b").shape == (4,)
+
+    @pytest.mark.parametrize("cpus, threads, workers", [(2, 64, 2), (None, 3, 1), (4, 3, 3)])
+    def test_pool_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
+        seen = []
+
+        class Recording(rng_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(rng_mod, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: cpus)
+        values = RngSpec(99, threads=threads).uniforms(5000, "cap")
+        assert seen == [workers]
+        assert np.array_equal(values, RngSpec(99).uniforms(5000, "cap"))

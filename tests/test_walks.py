@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from manyminds.quantum import Branch, BranchDecomposition
+from manyminds import cli
 from manyminds.rng import RngSpec
 from manyminds.walks import (
     SKIP,
@@ -18,9 +18,7 @@ from manyminds.walks import (
     load_tree_spec,
     random_walk,
     repeated_frequency,
-    tree_event_from_branches,
     tree_spec_from_json,
-    write_walk_csv,
 )
 
 SIGNIFICANCE = 1e-4
@@ -139,24 +137,14 @@ class TestInterchange:
         with pytest.raises(ValueError):
             tree_spec_from_json({"events": [{"labels": ["x"]}]})
 
-    def test_branch_bridge_matches_born_weights(self):
-        decomp = BranchDecomposition(
-            ("alice", "bob"), ("z", "z"),
-            (Branch(("+", "-"), math.sqrt(0.5), 0.5),
-             Branch(("-", "+"), -math.sqrt(0.5), 0.5)),
-        )
-        event = tree_event_from_branches("epr", decomp)
-        assert event.labels == ("+,-", "-,+")
-        assert event.probs == (0.5, 0.5)
-        tree = build_tree(TreeSpec((event,)))
-        res = random_walk(tree, 40000, RngSpec(31))
-        assert abs(res.frequency(("+,-",)) - 0.5) <= 4 * math.sqrt(0.25 / 40000)
-
     def test_csv_export(self, tmp_path):
-        res = random_walk(build_tree(TWO_THREE_TREE), 100, RngSpec(1))
+        spec = tmp_path / "tree.json"
+        spec.write_text(json.dumps({"events": [{"probs": e.probs}
+                                               for e in TWO_THREE_TREE.events]}))
         out = tmp_path / "walk.csv"
-        write_walk_csv(out, res)
-        lines = out.read_text().strip().splitlines()
+        assert cli.main(["tree", "--spec", str(spec), "--minds", "100", "--seed", "1",
+                         "--format", "csv", "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().strip().splitlines() if not l.startswith("# ")]
         assert lines[0] == "leaf_path,count,exact_prob"
         assert len(lines) == 7
         first = lines[1].split(",")
