@@ -88,6 +88,87 @@ def as_tuples(checks):
     return [(c.observer, c.size, c.consistent, c.expected, c.observed) for c in checks]
 
 
+# Label-keyed split reference: each history class samples over its own row's
+# sorted keys, and the class keys are decoded digit by digit.
+
+def label_history_classes(ensembles):
+    n = ensembles[0].size
+    columns = [ens.assignments[k] for ens in ensembles for k in range(len(ens.events))]
+    if not columns:
+        return np.zeros(n, dtype=np.int64), [label_class_key(ensembles, [])]
+    radix = [len(ens.outcome_labels[k]) for ens in ensembles for k in range(len(ens.events))]
+    codes = np.ravel_multi_index([np.asarray(c) for c in columns], dims=radix)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    keys = [label_class_key(ensembles, [int(d) for d in np.unravel_index(code, radix)])
+            for code in uniq]
+    return inverse, keys
+
+
+def label_class_key(ensembles, digits):
+    per_obs = []
+    pos = 0
+    for ens in ensembles:
+        hist = []
+        for k in range(len(ens.events)):
+            hist.append(ens.outcome_labels[k][digits[pos]])
+            pos += 1
+        per_obs.append(tuple(hist))
+    return per_obs[0] if len(ensembles) == 1 else tuple(per_obs)
+
+
+def label_sample_by_class(u, class_of_mind, class_keys, table, outcomes):
+    outcome_pos = {o: i for i, o in enumerate(outcomes)}
+    chosen = np.zeros(len(u), dtype=np.int64)
+    for cls, key in enumerate(class_keys):
+        mask = class_of_mind == cls
+        if not mask.any():
+            continue
+        dist = table[key]
+        local = sorted(dist.keys())
+        idx = sample_indices(u[mask], [dist[o] for o in local])
+        chosen[mask] = np.asarray([outcome_pos[o] for o in local])[idx]
+    return chosen
+
+
+def label_split_local(ens, event_id, probs):
+    """(labels, column) that ``split_local`` must append."""
+    u = ens.rng.uniforms(ens.size, "local", ens.observer, event_id)
+    if all(isinstance(k, tuple) for k in probs):
+        labels = sorted({o for dist in probs.values() for o in dist})
+        cls, keys = label_history_classes([ens])
+        return tuple(labels), label_sample_by_class(u, cls, keys, probs, labels)
+    labels = sorted(probs)
+    return tuple(labels), sample_indices(u, [probs[o] for o in labels])
+
+
+def label_split_joint(ensembles, event_id, dist):
+    """Per observer, the (labels, column) that ``split_joint`` must append."""
+    n, order = ensembles[0].size, [ens.observer for ens in ensembles]
+    if isinstance(dist, BranchDecomposition):
+        perm = [dist.subsystems.index(obs) for obs in order]
+        table = {(): {tuple(k[p] for p in perm): w for k, w in dist.joint_distribution().items()}}
+        cls, keys = np.zeros(n, dtype=np.int64), [()]
+    else:
+        table = dist
+        cls, keys = label_history_classes(ensembles)
+    tuples = sorted({t for row in table.values() for t in row})
+    chosen = label_sample_by_class(ensembles[0].rng.uniforms(n, "joint", event_id),
+                                   cls, keys, table, tuples)
+    out = []
+    for pos in range(len(ensembles)):
+        labels = tuple(sorted({t[pos] for t in tuples}))
+        out.append((labels, np.asarray([labels.index(t[pos]) for t in tuples])[chosen]))
+    return out
+
+
+def last_column(ens):
+    return ens.outcome_labels[-1], ens.assignments[-1]
+
+
+def same_column(got, want):
+    return got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
 class TestInit:
     def test_population_and_ids(self):
         ens = init_ensemble("alice", 5, RngSpec(1))
@@ -198,6 +279,24 @@ class TestSplitLocal:
         with pytest.raises(KeyError):
             split_local(ens, "n", {("+",): {"x": 1.0}})
 
+    def test_unsorted_row_with_zero_weight_matches_label_reference(self):
+        ens = init_ensemble("a", 5000, RngSpec(61))
+        probs = {"z": 0.3, "a": 0.0, "m": 0.7}
+        got = last_column(split_local(ens, "m", probs))
+        assert same_column(got, label_split_local(ens, "m", probs))
+        assert got[0] == ("a", "m", "z")
+        assert 0 not in got[1]
+
+    def test_conditional_rows_with_different_keys_match_label_reference(self):
+        ens = split_local(init_ensemble("a", 6000, RngSpec(62)), "first",
+                          {"H": 0.5, "T": 0.3, "E": 0.2})
+        table = {("H",): {"y": 0.75, "x": 0.25},
+                 ("T",): {"z": 0.5, "y": 0.5},
+                 ("E",): {"x": 0.0, "w": 1.0}}
+        got = last_column(split_local(ens, "second", table))
+        assert same_column(got, label_split_local(ens, "second", table))
+        assert got[0] == ("w", "x", "y", "z")
+
 
 class TestSplitJoint:
     def test_anticorrelated_pairs(self):
@@ -249,6 +348,28 @@ class TestSplitJoint:
 
     def test_joint_distribution_marginal(self):
         assert marginal_for(SINGLET_Z, "alice") == {"+": 0.5, "-": 0.5}
+
+    def test_reversed_subsystem_order_matches_label_reference(self):
+        rng = RngSpec(63)
+        ens = [init_ensemble(o, 6000, rng, JOINTLY_CORRELATED) for o in ("b", "a")]
+        got = [last_column(e) for e in split_joint(ens, "m", SKEWED)]
+        want = label_split_joint(ens, "m", SKEWED)
+        assert all(same_column(g, w) for g, w in zip(got, want))
+        assert [g[0] for g in got] == [("u", "v", "w"), ("x", "y")]
+
+    def test_nondeterministic_conditional_rows_match_label_reference(self):
+        rng = RngSpec(64)
+        ens = [init_ensemble(o, 6000, rng, JOINTLY_CORRELATED) for o in ("a", "b")]
+        ens = split_joint(ens, "m", SKEWED)
+        table = {
+            (("x",), ("u",)): {("p", "q"): 0.5, ("q", "p"): 0.25, ("p", "p"): 0.25},
+            (("x",), ("v",)): {("q", "q"): 0.6, ("p", "r"): 0.4},
+            (("y",), ("w",)): {("r", "q"): 0.1, ("q", "p"): 0.9},
+        }
+        got = [last_column(e) for e in split_joint(ens, "next", table)]
+        want = label_split_joint(ens, "next", table)
+        assert all(same_column(g, w) for g, w in zip(got, want))
+        assert [g[0] for g in got] == [("p", "q", "r"), ("p", "q", "r")]
 
 
 class TestMismatch:

@@ -11,6 +11,7 @@ import pytest
 
 from manyminds.minds import marginal_for
 from manyminds.quantum import (
+    PRUNE_TOL,
     Branch,
     DensityMatrix,
     NormalizationError,
@@ -77,6 +78,44 @@ def partial_trace_oracle(state, keep_axis):
             sl_i[keep_axis], sl_j[keep_axis] = i, j
             rho[i, j] = np.sum(amps[tuple(sl_i)] * amps[tuple(sl_j)].conj())
     return rho
+
+
+def branches_oracle(state, contexts):
+    """Branch list from a per-entry loop over the contracted amplitude tensor,
+    sorted by labels afterwards."""
+    lay = state.layout
+    names = [name for name in lay.names if name in contexts]
+    amps = state.tensor_amps
+    out_labels = {}
+    for name in names:
+        basis, labels = contexts[name], lay.labels(name)
+        if basis is None:
+            bmat = np.eye(len(labels), dtype=complex)
+        else:
+            bmat, labels = axis_basis(basis), ("+", "-")
+        axis = lay.axis(name)
+        amps = np.moveaxis(np.tensordot(amps, bmat.conj(), axes=([axis], [0])), -1, axis)
+        out_labels[name] = labels
+    ctx_axes = tuple(lay.axis(name) for name in names)
+    rest_axes = tuple(a for a in range(len(lay.dims)) if a not in ctx_axes)
+    weights = np.abs(amps) ** 2
+    if rest_axes:
+        weights = weights.sum(axis=rest_axes)
+    branches = []
+    for idx in np.ndindex(weights.shape):
+        w = float(weights[idx])
+        if w < PRUNE_TOL:
+            continue
+        slicer = [slice(None)] * amps.ndim
+        for axis, i in zip(ctx_axes, idx):
+            slicer[axis] = i
+        component = np.asarray(amps[tuple(slicer)]).reshape(-1)
+        nonzero = np.flatnonzero(np.abs(component) ** 2 >= PRUNE_TOL)
+        amp = complex(component[nonzero[0]]) if len(nonzero) == 1 else complex(math.sqrt(w))
+        labels = tuple(out_labels[name][i] for name, i in zip(names, idx))
+        branches.append(Branch(labels, amp, w))
+    branches.sort(key=lambda br: br.labels)
+    return branches
 
 
 # Construction ---------------------------------------------------------------
@@ -252,6 +291,40 @@ def test_branch_weights_sum_to_one(seed):
     assert sum(br.weight for br in decomp.branches) == pytest.approx(1.0, abs=1e-9)
     for br in decomp.branches:
         assert abs(br.amplitude) ** 2 == pytest.approx(br.weight, abs=1e-9)
+
+
+def recorder_states(seed):
+    """A random state with a three-level recorder whose "ready" label sorts
+    last, and a premeasured state in which most entries are exactly zero."""
+    rng = np.random.default_rng(200 + seed)
+    layout = SubsystemLayout((("q0", ("+", "-")), ("rec", ("ready", "+", "-")),
+                              ("q1", ("+", "-")), ("q2", ("+", "-"))))
+    raw = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    full = StateVector(layout, raw / np.linalg.norm(raw))
+    qubits = rng.normal(size=8) + 1j * rng.normal(size=8)
+    three = StateVector(SubsystemLayout(tuple((f"q{i}", ("+", "-")) for i in range(3))),
+                        qubits / np.linalg.norm(qubits))
+    measured = premeasure(tensor([three, ready_state("rec", ("+", "-"))]), "q1", "x", "rec")
+    return rng, full, measured
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_branch_lists_match_oracle(seed):
+    rng, full, measured = recorder_states(seed)
+    cases = [
+        (full, {"q0": "x", "rec": None, "q1": rng.uniform(0, 180), "q2": "y"}),
+        (full, {"rec": None}),
+        (full, {"q2": "z", "rec": None, "q1": "x"}),
+        (full, {"q0": "y", "q2": (0.6, 0.0, 0.8)}),
+        (measured, {"q1": "x", "rec": None}),
+        (measured, {"rec": None}),
+        (measured, {"q0": "z", "q1": "x", "q2": "z", "rec": None}),
+    ]
+    for state, contexts in cases:
+        got = branch_decompose(state, contexts).branches
+        assert list(got) == branches_oracle(state, contexts)
+    assert [br.labels for br in branch_decompose(full, {"rec": None}).branches] == [
+        ("+",), ("-",), ("ready",)]
 
 
 def test_marginal_and_conditional_distributions():
