@@ -240,8 +240,8 @@ def _run_ghz(config: RunConfig):
     sample = ghz_mod.simulate_scenarios(config.minds, config.rng)
     report = ghz_mod.pigeonhole_report(sample)
     missing = ghz_mod.missing_witness_count(sample)
-    cells_without_witness = sum(1 for c in ghz_mod.all_cells()
-                                if not ghz_mod.sign_flip_witnesses(c))
+    cells_without_witness = ghz_mod.missing_witness_count(
+        ghz_mod.ScenarioSample(ghz_mod.all_cells()))
 
     payload = {
         "constraints": constraint_rows,

@@ -262,19 +262,19 @@ def communicate_and_check(run: EprRun | EprConfig) -> EprRun:
 
 
 def hulk_demo(trials: int, rng: RngSpec, *, policy: SamplingPolicy = SINGLE_MIND,
-              state: StateVector | None = None, axis="z") -> float:
+              state: StateVector | None = None) -> float:
     """Empirical probability that the two wings' minds track different branches.
 
-    Each trial measures both particles along ``axis`` and gives each wing one
-    mind. With independent single-mind sampling on the singlet the wings
-    disagree about which branch is occupied half the time, leaving brains
-    whose records no mind perceives; jointly-correlated sampling removes the
-    effect entirely.
+    Each trial measures both particles along z and gives each wing one mind.
+    With independent single-mind sampling on the singlet the wings disagree
+    about which branch is occupied half the time, leaving brains whose
+    records no mind perceives; jointly-correlated sampling removes the effect
+    entirely.
     """
     if state is None:
         state = singlet()
     p1, p2 = state.layout.names
-    decomp = branch_decompose(state, {p1: axis, p2: axis})
+    decomp = branch_decompose(state, {p1: "z", p2: "z"})
     return mismatch_probability(policy, decomp, trials, rng)
 
 

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -155,12 +155,12 @@ def enumerate_local_assignments(constraints: tuple[int, ...] = (1, 2, 3, 4),
     """
     if not set(constraints) <= {1, 2, 3, 4}:
         raise ValueError(f"constraints must be scenario indices 1-4, got {constraints}")
-    witnesses = []
-    for values in itertools.product((1, -1), repeat=6):
-        x1, y1, x2, y2, x3, y3 = values
-        products = {1: x1 * x2 * x3, 2: x1 * y2 * y3, 3: y1 * x2 * y3, 4: y1 * y2 * x3}
-        if all(products[j] == SCENARIOS[j - 1].eigenvalue for j in constraints):
-            witnesses.append(values)
+    # values are (x1, y1, x2, y2, x3, y3): observer o's x value is values[2 * o]
+    checks = [(SCENARIOS[j - 1].eigenvalue,
+               [2 * o + (axis == "y") for o, axis in enumerate(SCENARIOS[j - 1].axes)])
+              for j in constraints]
+    witnesses = [values for values in itertools.product((1, -1), repeat=6)
+                 if all(prod(values[k] for k in slots) == eig for eig, slots in checks)]
     return 64, len(witnesses), witnesses
 
 
@@ -218,19 +218,18 @@ def all_cells() -> np.ndarray:
     return np.array(list(itertools.product(range(4), repeat=4)), dtype=np.int8)
 
 
-def simulate_scenarios(n_triples: int, rng: RngSpec,
-                       state: StateVector | None = None) -> ScenarioSample:
+def simulate_scenarios(n_triples: int, rng: RngSpec) -> ScenarioSample:
     """Sample each scenario's outcome for n mind-triples from Born weights.
 
     Scenario draws are independent of each other and of which scenario might
     actually be performed; mind-triple i always consumes draw i of each
-    scenario's stream. The weights come from the state's branch decomposition
-    in the scenario's axes (uniform 1/4 for the entangled state above).
+    scenario's stream. The weights come from the branch decomposition of
+    ``ghz_state()``, (|+++> - |--->)/sqrt(2), in the scenario's axes: 1/4 on
+    each allowed triple.
     """
     if n_triples < 1:
         raise ValueError(f"n_triples must be >= 1, got {n_triples}")
-    if state is None:
-        state = ghz_state()
+    state = ghz_state()
     names = state.layout.names
     columns = []
     for scen in SCENARIOS:
@@ -295,15 +294,10 @@ class Witness:
         return self.scenarios[0].axes[OBSERVERS.index(self.observer)]
 
 
-# scenario pairs in which one observer keeps the same local axis
-FLIP_CANDIDATES = (
-    ("alice", (Scenario.XXX, Scenario.XYY)),   # x both times
-    ("alice", (Scenario.YXY, Scenario.YYX)),   # y both times
-    ("bob", (Scenario.XXX, Scenario.YXY)),
-    ("bob", (Scenario.XYY, Scenario.YYX)),
-    ("carol", (Scenario.XXX, Scenario.YYX)),
-    ("carol", (Scenario.XYY, Scenario.YXY)),
-)
+# scenario pairs in which one observer keeps the same local axis, by observer
+FLIP_CANDIDATES = tuple((observer, pair) for o, observer in enumerate(OBSERVERS)
+                        for pair in itertools.combinations(SCENARIOS, 2)
+                        if pair[0].axes[o] == pair[1].axes[o])
 
 
 def sign_flip_witnesses(row) -> tuple[Witness, ...]:

@@ -91,16 +91,19 @@ class MindEnsemble:
             raise ValueError(f"ensemble size must be >= 1, got {self.size}")
         if not (len(self.events) == len(self.outcome_labels) == len(self.assignments)):
             raise ValueError("events, outcome_labels and assignments must align")
-        for event, labels in zip(self.events, self.outcome_labels):
+        frozen = []
+        for event, labels, arr in zip(self.events, self.outcome_labels, self.assignments):
             if len(labels) > MAX_OUTCOMES:
                 raise ValueError(f"event {event!r} has {len(labels)} outcomes; int16 "
                                  f"assignment columns hold at most {MAX_OUTCOMES}")
-        frozen = []
-        for arr in self.assignments:
-            arr = np.asarray(arr, dtype=np.int16)
+            arr = np.asarray(arr)
             if arr.shape != (self.size,):
                 raise ValueError("each assignment column must have one entry per mind")
-            arr = arr.copy()
+            # checked before the int16 cast, which would wrap 65,537 to 1
+            if arr.min() < 0 or arr.max() >= len(labels):
+                raise ValueError(f"event {event!r}: outcome indices must lie in "
+                                 f"0..{len(labels) - 1}")
+            arr = arr.astype(np.int16)
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "assignments", tuple(frozen))
@@ -133,84 +136,50 @@ def init_ensemble(observer: str, n: int, rng: RngSpec,
 
 
 # ---------------------------------------------------------------------------
-# Distribution plumbing
+# Splitting
 
 
-def _check_distribution(dist: Mapping, context: str) -> None:
-    total = sum(dist.values())
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"{context}: probability mass is {total}, expected 1")
-    if any(p < 0 for p in dist.values()):
-        raise ValueError(f"{context}: negative probability")
+def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
+          ensembles: list[MindEnsemble] | None = None) -> np.ndarray:
+    """Index into ``outcomes`` for every mind, by inverse CDF on ``u``.
 
-
-def _split_form(probs: Mapping):
-    """Classify a distribution argument as unconditional or history-keyed."""
-    keys = list(probs.keys())
-    if not keys:
-        raise ValueError("empty distribution")
-    if all(isinstance(k, tuple) for k in keys):
-        return "conditional"
-    if any(isinstance(k, tuple) for k in keys):
-        raise ValueError("mixed unconditional and conditional keys")
-    return "unconditional"
-
-
-def _history_classes(ensembles: list[MindEnsemble]) -> tuple[np.ndarray, list[tuple]]:
-    """Per-mind class codes and, per class code, the history key it stands for.
-
-    For a single ensemble the key is that observer's history tuple; for
-    several, a tuple of per-observer history tuples (paired by mind index).
+    With ``ensembles`` None, ``probs`` is one row {outcome: p} for all minds.
+    Otherwise it maps each realized history key (one observer's history, or
+    a tuple of per-observer histories paired by mind index) to the row for
+    the minds on that history. Rows are written densely in ``outcomes``
+    order; a zero entry is an empty bin that is never drawn.
     """
-    n = ensembles[0].size
-    columns = [ens.assignments[k] for ens in ensembles for k in range(len(ens.events))]
-    if not columns:
-        return np.zeros(n, dtype=np.int64), [_class_key(ensembles, [])]
-    radix = [len(ens.outcome_labels[k]) for ens in ensembles for k in range(len(ens.events))]
-    codes = np.ravel_multi_index([np.asarray(c) for c in columns], dims=radix)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    keys = []
-    for code in uniq:
-        digits = np.unravel_index(code, radix)
-        keys.append(_class_key(ensembles, [int(d) for d in digits]))
-    return inverse, keys
+    def row(dist, where):
+        total = sum(dist.values())
+        if abs(total - 1.0) > ATOL:
+            raise ValueError(f"{where}: probability mass is {total}, expected 1")
+        if any(p < 0 for p in dist.values()):
+            raise ValueError(f"{where}: negative probability")
+        return [dist.get(o, 0.0) for o in outcomes]
 
-
-def _class_key(ensembles: list[MindEnsemble], digits: list[int]) -> tuple:
-    per_obs = []
-    pos = 0
-    for ens in ensembles:
-        hist = []
-        for k in range(len(ens.events)):
-            hist.append(ens.outcome_labels[k][digits[pos]])
-            pos += 1
-        per_obs.append(tuple(hist))
-    if len(ensembles) == 1:
-        return per_obs[0]
-    return tuple(per_obs)
-
-
-def _sample_by_class(u: np.ndarray, class_of_mind: np.ndarray, class_keys: list[tuple],
-                     table: Mapping, outcomes: list, context: str) -> np.ndarray:
-    """Sample an outcome index per mind from its history class's distribution."""
-    outcome_pos = {o: i for i, o in enumerate(outcomes)}
-    chosen = np.zeros(len(u), dtype=np.int64)
-    for cls, key in enumerate(class_keys):
-        mask = class_of_mind == cls
-        if not mask.any():
-            continue
-        if key not in table:
+    if ensembles is None:
+        return sample_indices(u, row(probs, context))
+    columns = [col for ens in ensembles for col in ens.assignments]
+    radix = [len(labels) for ens in ensembles for labels in ens.outcome_labels]
+    codes = np.ravel_multi_index(columns, radix) if columns else np.zeros(len(u), np.int64)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    chosen = np.empty(len(u), dtype=np.int64)
+    for cls, i in enumerate(first.tolist()):
+        key = tuple(ens.history(i) for ens in ensembles)
+        key = key[0] if len(ensembles) == 1 else key
+        if key not in probs:
             raise KeyError(f"{context}: no distribution for realized history {key!r}")
-        dist = table[key]
-        _check_distribution(dist, f"{context} given {key!r}")
-        local = sorted(dist.keys())
-        idx = sample_indices(u[mask], [dist[o] for o in local])
-        chosen[mask] = np.asarray([outcome_pos[o] for o in local])[idx]
+        mask = inverse == cls
+        chosen[mask] = sample_indices(u[mask], row(probs[key], f"{context} given {key!r}"))
     return chosen
 
 
-# ---------------------------------------------------------------------------
-# Splitting
+def _extend(ens: MindEnsemble, event_id: str, labels: tuple, column) -> MindEnsemble:
+    if event_id in ens.events:
+        raise ValueError(f"event {event_id!r} already recorded for {ens.observer!r}")
+    return replace(ens, events=ens.events + (event_id,),
+                   outcome_labels=ens.outcome_labels + (labels,),
+                   assignments=ens.assignments + (column,))
 
 
 def split_local(ensemble: MindEnsemble, event_id: str, probs: Mapping) -> MindEnsemble:
@@ -221,37 +190,17 @@ def split_local(ensemble: MindEnsemble, event_id: str, probs: Mapping) -> MindEn
     sequential measurements where a mind's next outcome is conditioned on the
     branch it already occupies.
     """
-    if event_id in ensemble.events:
-        raise ValueError(f"event {event_id!r} already recorded for {ensemble.observer!r}")
+    context = f"split_local({event_id!r})"
+    if not probs:
+        raise ValueError(f"{context}: empty distribution")
+    conditional = all(isinstance(k, tuple) for k in probs)
+    if not conditional and any(isinstance(k, tuple) for k in probs):
+        raise ValueError(f"{context}: mixed unconditional and conditional keys")
+    rows = probs.values() if conditional else (probs,)
+    labels = tuple(sorted({o for dist in rows for o in dist}))
     u = ensemble.rng.uniforms(ensemble.size, "local", ensemble.observer, event_id)
-
-    if _split_form(probs) == "unconditional":
-        _check_distribution(probs, f"split_local({event_id!r})")
-        labels = tuple(sorted(probs.keys()))
-        chosen = sample_indices(u, [probs[o] for o in labels])
-    else:
-        labels = tuple(sorted({o for dist in probs.values() for o in dist}))
-        class_of_mind, class_keys = _history_classes([ensemble])
-        chosen = _sample_by_class(u, class_of_mind, class_keys, probs, list(labels),
-                                  f"split_local({event_id!r})")
-
-    return replace(
-        ensemble,
-        events=ensemble.events + (event_id,),
-        outcome_labels=ensemble.outcome_labels + (labels,),
-        assignments=ensemble.assignments + (chosen.astype(np.int16),),
-    )
-
-
-def _joint_table(dist, n_observers: int) -> Mapping:
-    if _split_form(dist) != "conditional":
-        raise ValueError("joint distribution keys must be outcome tuples")
-    sample = next(iter(dist))
-    if all(isinstance(el, tuple) for el in sample):
-        return dist  # history-conditional: {per-observer histories: {outcome tuple: p}}
-    if len(sample) != n_observers:
-        raise ValueError(f"outcome tuples have {len(sample)} entries for {n_observers} observers")
-    return {(): dist}  # normalize to the conditional form with a vacuous key
+    chosen = _draw(u, probs, labels, context, [ensemble] if conditional else None)
+    return _extend(ensemble, event_id, labels, chosen)
 
 
 def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[MindEnsemble]:
@@ -259,9 +208,10 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
 
     Mind i of every observer receives the i-th joint draw, so the i-th
     mind-tuple follows a single branch of the joint distribution. ``dist`` is
-    a BranchDecomposition (subsystem names must match the observers), a
-    mapping from outcome tuples to weights, or a mapping from per-observer
-    history tuples to such mappings.
+    * a BranchDecomposition whose subsystems are the observers, in any order, or
+    * a mapping from per-observer history tuples to distributions over joint
+      outcome tuples (labels in ``ensembles`` order), which conditions each
+      mind-tuple's draw on the branch it already occupies.
     """
     if not ensembles:
         raise ValueError("split_joint needs at least one ensemble")
@@ -275,8 +225,6 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
             raise ValueError(f"size mismatch: {ens.observer!r} has {ens.size} minds, expected {n}")
         if ens.rng != rng:
             raise ValueError(f"rng mismatch: {ens.observer!r} uses a different stream spec")
-        if event_id in ens.events:
-            raise ValueError(f"event {event_id!r} already recorded for {ens.observer!r}")
 
     order = [ens.observer for ens in ensembles]
     if isinstance(dist, BranchDecomposition):
@@ -284,29 +232,25 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
             raise ValueError(f"decomposition covers {dist.subsystems}, observers are {order}")
         perm = [dist.subsystems.index(obs) for obs in order]
         dist = {tuple(k[p] for p in perm): w for k, w in dist.joint_distribution().items()}
-    table = _joint_table(dist, len(ensembles))
-
-    all_tuples = sorted({t for row in table.values() for t in row})
-    u = rng.uniforms(n, "joint", event_id)
-    conditional = any(key != () for key in table)
-    if conditional:
-        class_of_mind, class_keys = _history_classes(ensembles)
+        rows, keyed_by = (dist,), None
+    elif dist and all(isinstance(k, tuple) and isinstance(row, Mapping)
+                      for k, row in dist.items()):
+        rows, keyed_by = dist.values(), ensembles
     else:
-        class_of_mind, class_keys = np.zeros(n, dtype=np.int64), [()]
-    chosen = _sample_by_class(u, class_of_mind, class_keys, table, all_tuples,
-                              f"split_joint({event_id!r})")
+        raise ValueError("split_joint needs a BranchDecomposition or a mapping from "
+                         "per-observer histories to joint distributions")
+    tuples = sorted({t for row in rows for t in row})
+    if any(len(t) != len(ensembles) for t in tuples):
+        raise ValueError(f"joint outcomes must have one label for each of {len(ensembles)} "
+                         "observers")
+    chosen = _draw(rng.uniforms(n, "joint", event_id), dist, tuples,
+                   f"split_joint({event_id!r})", keyed_by)
 
     out = []
     for pos, ens in enumerate(ensembles):
-        labels = tuple(sorted({t[pos] for t in all_tuples}))
-        label_pos = {o: i for i, o in enumerate(labels)}
-        lookup = np.asarray([label_pos[t[pos]] for t in all_tuples])
-        out.append(replace(
-            ens,
-            events=ens.events + (event_id,),
-            outcome_labels=ens.outcome_labels + (labels,),
-            assignments=ens.assignments + (lookup[chosen].astype(np.int16),),
-        ))
+        labels = tuple(sorted({t[pos] for t in tuples}))
+        lookup = np.asarray([labels.index(t[pos]) for t in tuples])
+        out.append(_extend(ens, event_id, labels, lookup[chosen]))
     return out
 
 
@@ -327,40 +271,32 @@ def proportions(ensemble: MindEnsemble, event_id: str) -> dict[str, Fraction]:
 
 
 def mismatch_probability(policy: SamplingPolicy, decomp: BranchDecomposition,
-                         trials: int, rng: RngSpec, event_id: str = "mismatch") -> float:
+                         trials: int, rng: RngSpec) -> float:
     """Fraction of trials whose two minds occupy outcomes from different branches.
 
-    Under the single-mind independent-local policy each observer's lone mind
-    samples from its local marginal, so the pair can land on an outcome
-    combination that belongs to no branch of the joint state: a brain then
-    exhibits a record that no mind of the other observer is tracking. Under
-    the jointly-correlated policy the pair is one joint draw and the mismatch
+    Trial i pairs mind i of each observer's ``trials``-mind ensemble. Under
+    the single-mind independent-local policy each observer's mind samples
+    from its local marginal, so the pair can land on an outcome combination
+    that belongs to no branch of the joint state: a brain then exhibits a
+    record that no mind of the other observer is tracking. Under the
+    jointly-correlated policy the pair is one joint draw and the mismatch
     count is zero by construction (still counted, not assumed).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if len(decomp.subsystems) != 2:
         raise ValueError("mismatch probability is defined for two observers")
-    obs_a, obs_b = decomp.subsystems
-    dist_a, dist_b = marginal_for(decomp, obs_a), marginal_for(decomp, obs_b)
-    labels_a, labels_b = sorted(dist_a), sorted(dist_b)
-
+    minds = [MindEnsemble(obs, trials, rng, policy) for obs in decomp.subsystems]
     if policy.kind is PolicyKind.JOINTLY_CORRELATED:
-        joint = decomp.joint_distribution()
-        tuples = sorted(joint.keys())
-        idx = sample_indices(rng.uniforms(trials, "joint", event_id),
-                             [joint[t] for t in tuples])
-        ia = np.asarray([labels_a.index(a) for a, _ in tuples])[idx]
-        ib = np.asarray([labels_b.index(b) for _, b in tuples])[idx]
+        a, b = split_joint(minds, "mismatch", decomp)
     elif not policy.single_mind:
         raise ValueError("independent-local mismatch trials require the single-mind policy "
                          "(one mind per observer per trial)")
     else:
-        ia = sample_indices(rng.uniforms(trials, "local", obs_a, event_id),
-                            [dist_a[o] for o in labels_a])
-        ib = sample_indices(rng.uniforms(trials, "local", obs_b, event_id),
-                            [dist_b[o] for o in labels_b])
-    return count_off_support(decomp, (labels_a, labels_b), ia, ib) / trials
+        a, b = (split_local(ens, "mismatch", marginal_for(decomp, ens.observer))
+                for ens in minds)
+    labels = (a.outcome_labels[0], b.outcome_labels[0])
+    return count_off_support(decomp, labels, a.assignments[0], b.assignments[0]) / trials
 
 
 def count_off_support(decomp: BranchDecomposition,
@@ -402,13 +338,12 @@ class ReportCheck:
 
 
 def report_correlation(ensembles: list[MindEnsemble], decomp: BranchDecomposition,
-                       measure_event: str, report_event: str,
-                       report_subsystem: Mapping[str, str] | None = None,
-                       ) -> list[ReportCheck]:
+                       measure_event: str, report_event: str) -> list[ReportCheck]:
     """Check minds-to-reports consistency after a communication step.
 
     For each observer, the post-communication decomposition must pair the
-    observer's own outcome with a unique perceived report of the other wing;
+    observer's own outcome with a unique perceived report of the other wing,
+    held in the subsystem named ``<observer>_report``;
     every mind is then required to carry exactly that report in its history.
     """
     checks = []
@@ -416,8 +351,7 @@ def report_correlation(ensembles: list[MindEnsemble], decomp: BranchDecompositio
         if report_event not in ens.events:
             raise ValueError(f"communication step missing: {ens.observer!r} has no "
                              f"{report_event!r} event")
-        report_name = (report_subsystem or {}).get(ens.observer, f"{ens.observer}_report")
-        cond = _deterministic_report_map(decomp, ens.observer, report_name)
+        cond = _deterministic_report_map(decomp, ens.observer, f"{ens.observer}_report")
         k_own, k_seen = ens.event_index(measure_event), ens.event_index(report_event)
         own_labels, seen_labels = ens.outcome_labels[k_own], ens.outcome_labels[k_seen]
         width = len(seen_labels)

@@ -16,6 +16,7 @@ with the Pauli matrices written in the z basis.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import atan2, cos, sin, sqrt
 
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 ATOL = 1e-9        # default comparison tolerance
-PRUNE_TOL = 1e-12  # default branch-pruning threshold on Born weight
+PRUNE_TOL = 1e-12  # branch-pruning threshold on Born weight
 MAX_DIM = 2**14    # dense amplitude storage; largest supported total dimension
 
 READY = "ready"
@@ -384,8 +385,7 @@ def _basis_for(state: StateVector, name: str, basis) -> tuple[np.ndarray, tuple[
     return axis_basis(basis), ("+", "-")
 
 
-def premeasure(state: StateVector, measured: str, basis, recorder: str,
-               *, atol: float = ATOL) -> StateVector:
+def premeasure(state: StateVector, measured: str, basis, recorder: str) -> StateVector:
     """Unitarily copy a subsystem's basis label into a recorder's pointer states.
 
     Applies |s_i>|ready> -> |s_i>|pointer_i> where the |s_i> are the columns
@@ -402,7 +402,7 @@ def premeasure(state: StateVector, measured: str, basis, recorder: str,
 
     amps = state.tensor_amps
     off_ready = 1.0 - float(np.sum(np.abs(np.take(amps, 0, axis=r_axis)) ** 2))
-    if off_ready > atol:
+    if off_ready > ATOL:
         raise PreconditionError(
             f"recorder {recorder!r} is not in its ready state (off-ready weight {off_ready:g})")
 
@@ -420,14 +420,13 @@ def premeasure(state: StateVector, measured: str, basis, recorder: str,
     return StateVector(lay, out.reshape(-1))
 
 
-def branch_decompose(state: StateVector, contexts: dict, *,
-                     prune_tol: float = PRUNE_TOL) -> BranchDecomposition:
+def branch_decompose(state: StateVector, contexts: dict) -> BranchDecomposition:
     """Expand a state into outcome-labeled branches for per-subsystem contexts.
 
     ``contexts`` maps subsystem names to a basis choice (axis name, angle,
     vector, explicit unitary, or None for the subsystem's own labeled basis).
     Branches are returned in lexicographic outcome-label order; branches with
-    weight below ``prune_tol`` are dropped.
+    weight below ``PRUNE_TOL`` are dropped.
 
     The branch amplitude is the complex coefficient whenever the branch picks
     out a single joint basis vector of the full space (always true when the
@@ -459,39 +458,41 @@ def branch_decompose(state: StateVector, contexts: dict, *,
     if rest_axes:
         weights = weights.sum(axis=rest_axes)
 
-    branches = []
-    for idx in np.ndindex(weights.shape):
-        w = float(weights[idx])
-        if w < prune_tol:
-            continue
-        labels = tuple(out_labels[name][i] for name, i in zip(names, idx))
-        slicer = [slice(None)] * amps.ndim
-        for axis, i in zip(ctx_axes, idx):
-            slicer[axis] = i
-        component = np.asarray(amps[tuple(slicer)]).reshape(-1)
-        nonzero = np.flatnonzero(np.abs(component) ** 2 >= prune_tol)
-        amp = complex(component[nonzero[0]]) if len(nonzero) == 1 else complex(sqrt(w))
-        branches.append(Branch(labels, amp, w))
-
-    branches.sort(key=lambda br: br.labels)
+    # Sorting every measured axis by label makes C order over the measured
+    # axes the lexicographic order of the branch label tuples.
+    amps = np.moveaxis(amps, ctx_axes, range(len(names)))
+    sorted_labels = [sorted(out_labels[name]) for name in names]
+    for k, name in enumerate(names):
+        order = [out_labels[name].index(label) for label in sorted_labels[k]]
+        weights, amps = np.take(weights, order, axis=k), np.take(amps, order, axis=k)
+    weights = weights.reshape(-1)
+    keep = weights >= PRUNE_TOL
+    component = amps.reshape(weights.size, -1)[keep]
+    big = np.abs(component) ** 2 >= PRUNE_TOL
+    single = big.sum(axis=1) == 1
+    picked = component[np.arange(len(component)), big.argmax(axis=1)]
+    kept = weights[keep]
+    amplitudes = np.where(single, picked, np.sqrt(kept))
+    labels = itertools.compress(itertools.product(*sorted_labels), keep.tolist())
+    branches = tuple(map(Branch, labels, amplitudes.tolist(), kept.tolist()))
     bases = tuple(axis_name(contexts[name]) for name in names)
-    return BranchDecomposition(tuple(names), bases, tuple(branches))
+    return BranchDecomposition(tuple(names), bases, branches)
 
 
-def expectation(state: StateVector, observable: Operator, *, atol: float = ATOL) -> float:
+def expectation(state: StateVector, observable: Operator) -> float:
     """<state|A|state> for a Hermitian observable on a named subsystem subset."""
-    if not observable.is_hermitian(atol):
+    if not observable.is_hermitian():
         raise ValueError("observable is not Hermitian")
     value = _matrix_element(state, observable)
-    if abs(value.imag) > atol:
+    if abs(value.imag) > ATOL:
         raise ValueError(f"expectation has imaginary part {value.imag}")
     return float(value.real)
 
 
-def variance(state: StateVector, observable: Operator, *, atol: float = ATOL) -> float:
+def variance(state: StateVector, observable: Operator) -> float:
     """<A^2> - <A>^2; zero (within tolerance) exactly on eigenstates."""
     squared = Operator(observable.subsystems, observable.matrix @ observable.matrix)
-    return expectation(state, squared, atol=atol) - expectation(state, observable, atol=atol) ** 2
+    return expectation(state, squared) - expectation(state, observable) ** 2
 
 
 def _matrix_element(state: StateVector, op: Operator) -> complex:

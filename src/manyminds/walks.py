@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+# repeated_frequency draws from the "tree" namespace under this scope, so no
+# tree event may take it as its id
+FREQ_SCOPE = "freq"
+
+
 @dataclass(frozen=True)
 class TreeEvent:
     """One slot in the sequence; ``probs is None`` means nothing is measured."""
@@ -47,6 +52,8 @@ class TreeEvent:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.event_id == FREQ_SCOPE:
+            raise ValueError(f"event id {FREQ_SCOPE!r} is reserved for repeated_frequency")
         if self.probs is None:
             if self.labels is not None:
                 raise ValueError(f"{self.event_id}: labels given for a skipped slot")
@@ -138,10 +145,12 @@ class WalkResult:
         pos = next((i for i, e in enumerate(active) if e.event_id == event_id), None)
         if pos is None:
             raise KeyError(f"unknown event {event_id!r}")
-        out = {label: 0.0 for label in active[pos].labels}
-        for path, c in zip(self.tree.paths, self.counts):
-            out[path[pos]] += int(c) / self.total
-        return out
+        # one row per outcome, holding its leaves in leaf order; a sequential
+        # cumsum adds each row's fractions in the order a loop over leaves would
+        radix = [len(e.labels) for e in active]
+        rows = np.moveaxis(self.counts.reshape(radix), pos, 0).reshape(radix[pos], -1)
+        sums = np.cumsum(rows / self.total, axis=1)[:, -1]
+        return dict(zip(active[pos].labels, sums.tolist()))
 
 
 def random_walk(tree: Tree, n_walkers: int, rng: RngSpec) -> WalkResult:
@@ -183,8 +192,7 @@ def chernoff_bound(eps: float, trials: int) -> float:
     return 2.0 * math.exp(-2.0 * eps * eps * trials)
 
 
-def repeated_frequency(p: float, trials: int, n_walkers: int, rng: RngSpec,
-                       scope: str = "freq") -> FrequencyResult:
+def repeated_frequency(p: float, trials: int, n_walkers: int, rng: RngSpec) -> FrequencyResult:
     """Each walker repeats a Bernoulli(p) measurement ``trials`` times.
 
     Walker i consumes the i-th row of the (n_walkers x trials) uniform block,
@@ -194,7 +202,7 @@ def repeated_frequency(p: float, trials: int, n_walkers: int, rng: RngSpec,
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if trials < 1 or n_walkers < 1:
         raise ValueError("trials and n_walkers must be >= 1")
-    u = rng.uniforms(n_walkers * trials, "tree", scope).reshape(n_walkers, trials)
+    u = rng.uniforms(n_walkers * trials, "tree", FREQ_SCOPE).reshape(n_walkers, trials)
     freqs = (u < p).sum(axis=1) / trials
     return FrequencyResult(p, trials, freqs)
 

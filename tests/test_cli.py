@@ -181,6 +181,13 @@ class TestUsageErrors:
         monkeypatch.setenv(cli.ENV_SEED, "not-a-number")
         assert cli.main(["enumerate"]) == 1
 
+    def test_tree_event_id_freq_rejected(self, tmp_path, capsys):
+        # "freq" would share repeated_frequency's stream in the "tree" namespace
+        spec = tmp_path / "tree.json"
+        spec.write_text(json.dumps({"events": [{"id": "freq", "probs": [0.5, 0.5]}]}))
+        assert cli.main(["tree", "--spec", str(spec)]) == 1
+        assert "freq" in capsys.readouterr().err
+
 
 class TestPhysicsFailureExit:
     def test_failed_check_exits_two(self, tmp_path, monkeypatch, capsys):

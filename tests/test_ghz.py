@@ -312,6 +312,17 @@ class TestSignFlips:
             idx = ("alice", "bob", "carol").index(observer)
             assert pair[0].axes[idx] == pair[1].axes[idx]
 
+    def test_candidate_order(self):
+        # sign_flip_witness returns the first witness in this order
+        assert FLIP_CANDIDATES == (
+            ("alice", (Scenario.XXX, Scenario.XYY)),
+            ("alice", (Scenario.YXY, Scenario.YYX)),
+            ("bob", (Scenario.XXX, Scenario.YXY)),
+            ("bob", (Scenario.XYY, Scenario.YYX)),
+            ("carol", (Scenario.XXX, Scenario.YYX)),
+            ("carol", (Scenario.XYY, Scenario.YXY)),
+        )
+
     def test_every_cell_has_a_witness(self):
         for row in all_cells():
             assert len(sign_flip_witnesses(row)) >= 1

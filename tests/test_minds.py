@@ -274,6 +274,14 @@ class TestSplitLocal:
         with pytest.raises(ValueError, match="int16"):
             ensemble(32768)
 
+    @pytest.mark.parametrize("column", [[0, 5, 1], [0, -1, 1], [0, 65537, 1]])
+    def test_out_of_range_index_rejected(self, column):
+        # 5 used to be accepted and made proportions sum to 2/3; 65,537 would
+        # wrap to 1 under the int16 cast
+        with pytest.raises(ValueError, match="0..1"):
+            MindEnsemble("a", 3, RngSpec(1), events=("m",), outcome_labels=(("+", "-"),),
+                         assignments=(np.array(column),))
+
     def test_missing_conditional_history_rejected(self):
         ens = split_local(init_ensemble("a", 100, RngSpec(1)), "m", {"+": 0.5, "-": 0.5})
         with pytest.raises(KeyError):
@@ -479,15 +487,16 @@ class TestReportCorrelation:
                        {("+", "+"): 0.25, ("+", "-"): 0.25, ("-", "+"): 0.5})
         rng = RngSpec(1)
         ens = [init_ensemble("alice", 8, rng, JOINTLY_CORRELATED)]
-        ens = split_joint(ens, "measure", {("+",): 0.5, ("-",): 0.5})
-        ens = split_joint(ens, "report", {("+",): 0.5, ("-",): 0.5})
+        coin = decomp(("alice",), {("+",): 0.5, ("-",): 0.5})
+        ens = split_joint(ens, "measure", coin)
+        ens = split_joint(ens, "report", coin)
         with pytest.raises(ValueError, match="not determined"):
             report_correlation(ens, fuzzy, "measure", "report")
 
     def test_missing_report_event(self):
         rng = RngSpec(1)
         ens = [init_ensemble("alice", 4, rng, JOINTLY_CORRELATED)]
-        ens = split_joint(ens, "measure", {("+",): 0.5, ("-",): 0.5})
+        ens = split_joint(ens, "measure", decomp(("alice",), {("+",): 0.5, ("-",): 0.5}))
         with pytest.raises(ValueError, match="missing"):
             report_correlation(ens, POST_COMM, "measure", "report")
 

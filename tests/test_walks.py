@@ -58,6 +58,12 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             TreeSpec((TreeEvent("a", (1.0,)), TreeEvent("a", (1.0,))))
 
+    def test_frequency_stream_id_rejected(self):
+        # repeated_frequency draws from ("tree", "freq"); an event with that
+        # id would share the stream
+        with pytest.raises(ValueError, match="freq"):
+            TreeEvent("freq", (0.5, 0.5))
+
 
 class TestRandomWalk:
     def test_counts_partition_walkers(self):
@@ -88,6 +94,17 @@ class TestRandomWalk:
         # walker i's path must not depend on how many walkers run beside it
         small = random_walk(tree, 10, RngSpec(7))
         assert small.counts.sum() == 10
+
+    def test_event_marginal_matches_leaf_loop(self):
+        # rows of hundreds of leaves, where a pairwise sum would round differently
+        events = [TreeEvent(f"e{k}", (0.2, 0.3, 0.5) if k % 2 else (0.1, 0.9)) for k in range(8)]
+        spec = TreeSpec((events[0], SKIP, *events[1:]))
+        res = random_walk(build_tree(spec), 7919, RngSpec(15))
+        for pos, event in enumerate(res.tree.active_events):
+            want = {label: 0.0 for label in event.labels}
+            for path, c in zip(res.tree.paths, res.counts):
+                want[path[pos]] += int(c) / res.total
+            assert list(res.event_marginal(event.event_id).items()) == list(want.items())
 
     def test_walk_rejects_zero_walkers(self):
         with pytest.raises(ValueError):
@@ -153,5 +170,5 @@ class TestInterchange:
 
     def test_leaf_probability_lln_bridge(self):
         # frequencies over a quantum-weight tree concentrate per Chernoff too
-        res = repeated_frequency(0.36, 500, 5000, RngSpec(37), scope="born")
+        res = repeated_frequency(0.36, 500, 5000, RngSpec(37))
         assert res.deviant_fraction(0.08) <= chernoff_bound(0.08, 500)
