@@ -159,10 +159,16 @@ def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
 
     if ensembles is None:
         return sample_indices(u, row(probs, context))
-    columns = [col for ens in ensembles for col in ens.assignments]
-    radix = [len(labels) for ens in ensembles for labels in ens.outcome_labels]
-    codes = np.ravel_multi_index(columns, radix) if columns else np.zeros(len(u), np.int64)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    # mixed-radix history code, densified whenever the radix product would
+    # leave int64; both keep the lexicographic order of the histories
+    code, span = np.zeros(len(u), np.int64), 1
+    for ens in ensembles:
+        for labels, col in zip(ens.outcome_labels, ens.assignments):
+            if span * len(labels) > 2**62:
+                classes, code = np.unique(code, return_inverse=True)
+                span = len(classes)
+            code, span = code * len(labels) + col, span * len(labels)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     chosen = np.empty(len(u), dtype=np.int64)
     for cls, i in enumerate(first.tolist()):
         key = tuple(ens.history(i) for ens in ensembles)

@@ -139,6 +139,8 @@ def axis_name(axis) -> str:
         return axis
     if isinstance(axis, (int, float)) and not isinstance(axis, bool):
         return f"{float(axis):g}deg"
+    if isinstance(axis, np.ndarray) and axis.ndim == 2:
+        return f"unitary{axis.shape[0]}x{axis.shape[1]}"
     vec = np.asarray(axis, dtype=float)
     return "(" + ",".join(f"{v:g}" for v in vec) + ")"
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .quantum import ATOL
 from .rng import RngSpec, sample_indices
@@ -168,8 +167,35 @@ def random_walk(tree: Tree, n_walkers: int, rng: RngSpec) -> WalkResult:
 
 
 def chi_square_pvalue(result: WalkResult) -> float:
-    """Goodness of fit of walker counts against the exact leaf probabilities."""
-    return float(stats.chisquare(result.counts, result.tree.probs * result.total).pvalue)
+    """Pearson goodness of fit of walker counts against the exact leaf
+    probabilities.
+
+    Only leaves with positive expected count enter the statistic and the
+    degrees of freedom. A walker on a zero-probability leaf gives p = 0, and
+    a fit with no degree of freedom left is exact, p = 1. Otherwise the
+    arithmetic is that of scipy's ``chisquare``, step for step, so the
+    p-values agree with it bit for bit.
+    """
+    # imported here so that importing the package never loads scipy; the
+    # special functions alone load in a fraction of the time of scipy's stats
+    from scipy.special import chdtrc
+
+    observed = np.asarray(result.counts, dtype=np.float64)
+    expected = result.tree.probs * result.total
+    obs_sum, exp_sum = np.sum(observed), np.sum(expected)
+    rtol = np.finfo(np.float64).eps ** 0.5
+    if abs(obs_sum - exp_sum) / min(obs_sum, exp_sum) > rtol:
+        raise ValueError(f"observed total {obs_sum} and expected total {exp_sum} "
+                         f"differ by more than a relative {rtol}")
+    positive = expected > 0
+    if np.any(observed[~positive]):
+        return 0.0
+    observed, expected = observed[positive], expected[positive]
+    df = float(len(observed) - 1)
+    if df == 0:
+        return 1.0
+    stat = np.sum((observed - expected) ** 2 / expected)
+    return float(chdtrc(df, stat))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """CLI plumbing: config resolution, reports, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +104,57 @@ class TestCommands:
                                              "--axes", "z", "z", "z", "z"])
         assert status == 0
         assert load(out)["body"]["exact"] == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("events", [
+        [{"probs": [1.0, 0.0]}, {"probs": [0.5, 0.5]}],
+        [{"probs": [1.0]}],
+    ])
+    def test_tree_with_single_or_zero_probability_outcomes(self, tmp_path, events):
+        # these trees used to get a NaN chi-square p-value and exit 2
+        spec = tmp_path / "tree.json"
+        spec.write_text(json.dumps({"events": events}))
+        status, out = run_to_file(tmp_path, ["tree", "--spec", str(spec), "--minds", "1000"])
+        assert status == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in report")
+
+        body = json.loads(out.read_text(), parse_constant=reject)["body"]
+        assert body["all_checks_passed"] is True
+
+
+COLD_START = textwrap.dedent("""
+    import json, os, sys
+    from manyminds import cli
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    out = os.path.join(sys.argv[1], "report.json")
+    status = [cli.main(argv + ["--out", out]) for argv in (
+        ["epr", "--minds", "10000", "--seed", "3"],
+        ["epr", "--minds", "10000", "--seed", "3", "--policy", "independent"],
+        ["hulk", "--trials", "20000", "--seed", "11"],
+        ["ghz", "--minds", "20000", "--seed", "7"],
+        ["chsh", "--trials", "10000", "--seed", "13"],
+        ["enumerate"],
+    )]
+    before_tree = scipy_modules()
+    status.append(cli.main(["tree", "--spec", sys.argv[2], "--minds", "1000", "--out", out]))
+    print(json.dumps({"status": status, "before_tree": before_tree,
+                      "after_tree": scipy_modules()}))
+""")
+
+
+def test_only_tree_loads_scipy_and_never_scipy_stats(tmp_path, tree_spec_path):
+    # a fresh interpreter, so modules the test session imported do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path), tree_spec_path],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["status"] == [0] * 7
+    assert seen["before_tree"] == []
+    assert "scipy.stats" not in seen["after_tree"]
 
 
 class TestConfigResolution:

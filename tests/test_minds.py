@@ -287,6 +287,24 @@ class TestSplitLocal:
         with pytest.raises(KeyError):
             split_local(ens, "n", {("+",): {"x": 1.0}})
 
+    @pytest.mark.parametrize("k, events", [(2, 64), (4, 40)])
+    def test_conditional_split_on_histories_past_int64(self, k, events):
+        # 2**64 and 4**40 histories: a mixed-radix code over all columns
+        # leaves int64, so the classes must be re-densified on the way
+        cols = np.random.default_rng(k).integers(0, k, size=(events, 6))
+        cols[:, 1] = cols[:, 2] = cols[:, 0]
+        cols[-1, 1] = (cols[-1, 0] + 1) % k  # mind 1 differs from mind 0 last
+        cols[0, 3] = (cols[0, 0] + 1) % k    # mind 3 differs from mind 0 first
+        labels = tuple(map(str, range(k)))
+        ens = MindEnsemble("a", 6, RngSpec(5), events=tuple(f"e{j}" for j in range(events)),
+                           outcome_labels=(labels,) * events, assignments=tuple(cols))
+        hists = sorted({ens.history(i) for i in range(ens.size)})
+        table = {h: {f"c{j}": 1.0} for j, h in enumerate(hists)}
+        got = split_local(ens, "next", table)
+        assert [got.history(i)[-1] for i in range(ens.size)] == \
+            [f"c{hists.index(ens.history(i))}" for i in range(ens.size)]
+        assert len(hists) == 5
+
     def test_unsorted_row_with_zero_weight_matches_label_reference(self):
         ens = init_ensemble("a", 5000, RngSpec(61))
         probs = {"z": 0.3, "a": 0.0, "m": 0.7}

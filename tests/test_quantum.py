@@ -252,6 +252,20 @@ def test_premeasure_preserves_norm(seed):
 
 # Branch decomposition -------------------------------------------------------
 
+def test_unitary_basis_two_level_named_by_shape():
+    decomp = branch_decompose(make_qubit_state("s", 1, 0), {"s": np.eye(2)})
+    assert decomp.bases == ("unitary2x2",)
+    assert [(br.labels, br.weight) for br in decomp.branches] == [(("+",), 1.0)]
+
+
+def test_unitary_basis_three_level_named_by_shape():
+    # the discrete Fourier basis is complex: naming it must not cast it to float
+    dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
+    decomp = branch_decompose(ready_state("q", ("a", "b")), {"q": dft})
+    assert decomp.bases == ("unitary3x3",)
+    assert [br.weight for br in decomp.branches] == pytest.approx([1 / 3] * 3)
+
+
 def test_singlet_both_z_two_branches_with_signs():
     decomp = branch_decompose(singlet(), {"p1": "z", "p2": "z"})
     assert [br.labels for br in decomp.branches] == [("+", "-"), ("-", "+")]

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from manyminds import cli
 from manyminds.rng import RngSpec
 from manyminds.walks import (
     SKIP,
+    Tree,
     TreeEvent,
     TreeSpec,
+    WalkResult,
     build_tree,
     chernoff_bound,
     chi_square_pvalue,
@@ -109,6 +113,46 @@ class TestRandomWalk:
     def test_walk_rejects_zero_walkers(self):
         with pytest.raises(ValueError):
             random_walk(build_tree(TWO_THREE_TREE), 0, RngSpec(1))
+
+
+def probability_rows(max_events=4, max_outcomes=5):
+    weights = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=max_outcomes)
+    return st.lists(weights, min_size=1, max_size=max_events).map(
+        lambda rows: [[w / sum(ws) for w in ws] for ws in rows])
+
+
+class TestChiSquare:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=probability_rows(), walkers=st.integers(1, 50000), seed=st.integers(0, 2**32))
+    def test_matches_scipy_bit_for_bit(self, rows, walkers, seed):
+        tree = build_tree(TreeSpec(tuple(TreeEvent(f"e{k}", tuple(r))
+                                         for k, r in enumerate(rows))))
+        assume(len(tree.paths) > 1)
+        result = random_walk(tree, walkers, RngSpec(seed))
+        want = stats.chisquare(result.counts, tree.probs * walkers).pvalue
+        assert np.float64(chi_square_pvalue(result)).tobytes() == np.float64(want).tobytes()
+
+    def test_zero_probability_leaves_left_out(self):
+        spec = TreeSpec((TreeEvent("a", (1.0, 0.0)), TreeEvent("b", (0.25, 0.0, 0.75))))
+        res = random_walk(build_tree(spec), 4000, RngSpec(3))
+        live = res.tree.probs > 0
+        want = stats.chisquare(res.counts[live], res.tree.probs[live] * res.total).pvalue
+        assert chi_square_pvalue(res) == want
+
+    def test_walker_on_zero_probability_leaf_gives_zero(self):
+        tree = build_tree(TreeSpec((TreeEvent("a", (0.5, 0.5, 0.0)),)))
+        assert chi_square_pvalue(WalkResult(tree, np.array([50, 49, 1]), 100)) == 0.0
+
+    @pytest.mark.parametrize("probs", [(1.0,), (0.0, 1.0)])
+    def test_one_positive_leaf_is_an_exact_fit(self, probs):
+        res = random_walk(build_tree(TreeSpec((TreeEvent("a", probs),))), 100, RngSpec(1))
+        assert chi_square_pvalue(res) == 1.0
+
+    def test_expected_total_must_match_walkers(self):
+        tree = Tree(TreeSpec((TreeEvent("a", (0.5, 0.5)),)), (("1",), ("2",)),
+                    np.array([0.5, 0.4999]))
+        with pytest.raises(ValueError, match="relative"):
+            chi_square_pvalue(WalkResult(tree, np.array([60, 40]), 100))
 
 
 class TestRepeatedFrequency:
