@@ -10,4 +10,4 @@ independent-local or jointly-correlated sampling, the single-mind mismatch
 
 __version__ = "0.1.0"
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2

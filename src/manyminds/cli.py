@@ -5,7 +5,7 @@ Each invocation runs one experiment and emits a report with a header
 body. Bodies are deterministic functions of the configuration: re-running
 with the same seed and config reproduces them byte for byte regardless of
 --threads. Exit status is 0 on success, 1 on usage errors, and 2 when a
-physics check fails.
+physics check fails (a correct run fails a sampled check with chance at most ALPHA).
 
 Configuration comes from a JSON file (--config) with individual flags taking
 precedence; the seed may also come from the MANYMINDS_SEED environment
@@ -36,13 +36,14 @@ from .minds import (
 )
 from .quantum import PhysicsAssertionError, branch_decompose, partial_trace, trace_distance
 from .rng import RngSpec
-from .walks import build_tree, chi_square_pvalue, load_tree_spec, random_walk
+from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_spec,
+                    pearson_statistic, random_walk)
 
 __all__ = ["RunConfig", "UsageError", "run", "main"]
 
 COMMANDS = ("tree", "epr", "hulk", "ghz", "chsh", "enumerate")
 ENV_SEED = "MANYMINDS_SEED"
-SIGNIFICANCE = 1e-4
+ALPHA = 1e-4  # family-wise false-alarm rate of one report's stochastic checks
 EXACT_TOL = 1e-9
 
 
@@ -69,12 +70,12 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.minds < 1:
-            raise UsageError(f"--minds must be >= 1, got {self.minds}")
-        if self.trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {self.trials}")
-        if self.threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {self.threads}")
+        for flag, value, low in (("--seed", self.seed, 0), ("--minds", self.minds, 1),
+                                 ("--trials", self.trials, 1), ("--threads", self.threads, 1)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise UsageError(f"{flag} must be an integer >= {low}, got {value!r}")
+        if not all(isinstance(v, (str, type(None))) for v in (self.spec_path, self.out)):
+            raise UsageError(f"--spec/--out must be file names: {self.spec_path!r}, {self.out!r}")
         if self.policy not in ("independent", "joint"):
             raise UsageError(f"--policy must be independent or joint, got {self.policy!r}")
         if self.format not in ("json", "csv"):
@@ -98,8 +99,17 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _band(p: float, n: int) -> float:
-    return 4.0 * math.sqrt(p * (1.0 - p) / n)
+def _stochastic(name: str, statistic: float, p_value: float, detail: str) -> dict:
+    """A check on a sampled quantity; ``run`` sets its threshold and verdict."""
+    return {"name": name, "statistic": statistic, "p_value": p_value, "detail": detail}
+
+
+def _normal(name: str, estimate: float, expected: float, se: float, detail: str) -> dict:
+    """Two-sided normal test of an estimate; ``se == 0`` makes it an exact check."""
+    if se == 0:
+        return _check(name, abs(estimate - expected) <= EXACT_TOL, detail)
+    z = (estimate - expected) / se
+    return _stochastic(name, z, math.erfc(abs(z) / math.sqrt(2.0)), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +120,7 @@ def _run_tree(config: RunConfig):
     tree = build_tree(load_tree_spec(config.spec_path))
     result = random_walk(tree, config.minds, config.rng)
     pvalue = chi_square_pvalue(result)
+    stat = pearson_statistic(result.counts, tree.probs * config.minds)
     leaves = [{"path": "/".join(p), "count": int(c), "exact_prob": float(w)}
               for p, c, w in zip(tree.paths, result.counts, tree.probs)]
     payload = {
@@ -124,8 +135,8 @@ def _run_tree(config: RunConfig):
                f"{int(result.counts.sum())} of {config.minds}"),
         _check("leaf_probabilities_normalized", abs(float(tree.probs.sum()) - 1.0) < EXACT_TOL,
                f"sum {float(tree.probs.sum())!r}"),
-        _check("chi_square_fit", pvalue > SIGNIFICANCE,
-               f"p-value {pvalue:.6g} at significance {SIGNIFICANCE}"),
+        _stochastic("chi_square_fit", stat, pvalue,
+                    "Pearson chi-square of the leaf counts against the exact probabilities"),
     ]
     table = [["leaf_path", "count", "exact_prob"]]
     table += [[row["path"], row["count"], repr(row["exact_prob"])] for row in leaves]
@@ -148,9 +159,8 @@ def _run_epr(config: RunConfig):
     rec = run.record
     echo = ecfg.to_dict()
 
-    signs = {("+", "+"): 1, ("+", "-"): -1, ("-", "+"): -1, ("-", "-"): 1}
     rows, cols = rec.pair_labels
-    empirical = sum(signs[(a, b)] * rec.pair_count(a, b)
+    empirical = sum((1 if a == b else -1) * rec.pair_count(a, b)
                     for a in rows for b in cols) / rec.n_minds
 
     # moving Bob's axis must leave Alice's local state untouched
@@ -176,16 +186,14 @@ def _run_epr(config: RunConfig):
                              "all minds perceive the report their outcome determines"))
     for obs in ("alice", "bob"):
         p = float(rec.proportions[obs].get("+", 0))
-        lo, hi = 0.5 - _band(0.5, rec.n_minds), 0.5 + _band(0.5, rec.n_minds)
-        checks.append(_check(f"{obs}_marginal_band", lo <= p <= hi,
-                             f"P(+) = {p:.6f}, band [{lo:.6f}, {hi:.6f}]"))
+        checks.append(_normal(f"{obs}_marginal_band", p, 0.5, math.sqrt(0.25 / rec.n_minds),
+                              f"P(+) = {p:.6f}, expected 0.5"))
     if config.policy == "joint":
         checks.append(_check("pairs_inside_branch_support", rec.mismatch_pairs == 0,
                              f"{rec.mismatch_pairs} stray pairs"))
-        se = math.sqrt(max(1.0 - exact * exact, 0.0) / rec.n_minds)
-        tol = max(4.0 * se, EXACT_TOL)
-        checks.append(_check("pair_correlation_band", abs(empirical - exact) <= tol,
-                             f"empirical {empirical:.6f} vs exact {exact:.6f} +- {tol:.6f}"))
+        se = 0.0 if reports_determined else math.sqrt((1.0 - exact * exact) / rec.n_minds)
+        checks.append(_normal("pair_correlation_band", empirical, exact, se,
+                              f"empirical {empirical:.6f} vs exact {exact:.6f}"))
     table = [["alice_outcome", "bob_outcome", "count"]]
     table += [[a, b, rec.pair_count(a, b)] for a in rows for b in cols]
     return payload, checks, table
@@ -198,25 +206,21 @@ def _run_hulk(config: RunConfig):
     decomp = branch_decompose(epr_mod.singlet(), {"p1": "z", "p2": "z"})
     joint = decomp.joint_distribution()
     pa, pb = marginal_for(decomp, "p1"), marginal_for(decomp, "p2")
-    if policy.kind is PolicyKind.JOINTLY_CORRELATED:
-        expected, tol = 0.0, 0.0
-    else:
-        expected = 1.0 - sum(pa[a] * pb[b] for a, b in joint)
-        tol = _band(expected, config.trials)
+    joint_policy = policy.kind is PolicyKind.JOINTLY_CORRELATED
+    expected = 0.0 if joint_policy else 1.0 - sum(pa[a] * pb[b] for a, b in joint)
 
     payload = {
         "trials": config.trials,
         "policy": policy.name,
         "mismatch_rate": rate,
         "expected_rate": expected,
-        "tolerance": tol,
     }
-    checks = [_check("mismatch_rate_band", abs(rate - expected) <= tol,
-                     f"rate {rate:.6f}, expected {expected:.6f} +- {tol:.6f}")]
+    checks = [_normal("mismatch_rate_band", rate, expected,
+                      math.sqrt(expected * (1.0 - expected) / config.trials),
+                      f"rate {rate:.6f}, expected {expected:.6f}")]
     table = [["quantity", "value"],
              ["mismatch_rate", repr(rate)],
              ["expected_rate", repr(expected)],
-             ["tolerance", repr(tol)],
              ["trials", config.trials]]
     return payload, checks, table
 
@@ -276,12 +280,11 @@ def _run_ghz(config: RunConfig):
         _check("witness_universality", missing == 0 and cells_without_witness == 0,
                f"{missing} sampled triples and {cells_without_witness} cells lack a flip"),
     ]
+    # at 100 expected minds per cell the chi-square law fits the statistic well
     if config.minds >= 256 * 100:
-        p = 1.0 / 256.0
-        tol = _band(p, config.minds)
-        ok = all(abs(c / config.minds - p) <= tol for c in report.counts)
-        checks.append(_check("cell_frequency_band", ok and report.nonempty_cells == 256,
-                             f"all 256 cells within {p:.6f} +- {tol:.6f}"))
+        stat = pearson_statistic(report.counts, [config.minds / 256] * 256)
+        checks.append(_stochastic("cell_frequency_band", stat, chi_square_tail(stat, 255),
+                                  "Pearson chi-square of the 256 cell counts, 255 df"))
     csv_table = [["cell_id", "count", "frequency"]]
     csv_table += [[i, int(c), repr(c / len(sample))]
                   for i, c in enumerate(report.counts.tolist())]
@@ -293,14 +296,12 @@ def _run_chsh(config: RunConfig):
     exact = epr_mod.chsh(a, ap, b, bp)
     estimate = epr_mod.chsh_monte_carlo(a, ap, b, bp, config.trials, config.rng)
 
-    pair_rows = []
-    se_sq = 0.0
-    for name, (x, y) in (("a,b", (a, b)), ("a,b'", (a, bp)),
-                         ("a',b", (ap, b)), ("a',b'", (ap, bp))):
-        e = epr_mod.correlation(x, y)
-        se_sq += max(1.0 - e * e, 0.0) / config.trials
-        pair_rows.append({"pair": name, "exact": e})
-    tol = max(4.0 * math.sqrt(se_sq), EXACT_TOL)
+    pair_rows = [{"pair": name, "exact": epr_mod.correlation(x, y)}
+                 for name, (x, y) in (("a,b", (a, b)), ("a,b'", (a, bp)),
+                                      ("a',b", (ap, b)), ("a',b'", (ap, bp)))]
+    # the four pair estimates are independent, so variances add; |E| = 1 adds none
+    se = math.sqrt(sum(1.0 - r["exact"] ** 2 for r in pair_rows
+                       if abs(abs(r["exact"]) - 1.0) >= EXACT_TOL) / config.trials)
 
     payload = {
         "axes": [str(x) for x in config.axes],
@@ -308,11 +309,10 @@ def _run_chsh(config: RunConfig):
         "estimate": estimate,
         "n_per_pair": config.trials,
         "pairs": pair_rows,
-        "tolerance": tol,
     }
     checks = [
-        _check("estimate_matches_exact", abs(estimate - exact) <= tol,
-               f"estimate {estimate:.6f} vs exact {exact:.6f} +- {tol:.6f}"),
+        _normal("estimate_matches_exact", estimate, exact, se,
+                f"estimate {estimate:.6f} vs exact {exact:.6f}"),
         _check("quantum_bound", exact <= 2.0 * math.sqrt(2.0) + EXACT_TOL,
                f"exact {exact:.9f} <= 2*sqrt(2)"),
     ]
@@ -379,6 +379,12 @@ def _header(config: RunConfig) -> dict:
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one experiment; returns (exit status, full report dict)."""
     payload, checks, table = _RUNNERS[config.command](config)
+    # Sidak split: each of k stochastic checks runs at level 1 - (1 - ALPHA)^(1/k),
+    # so a correct program fails any of them with probability at most ALPHA
+    stochastic = [c for c in checks if "p_value" in c]
+    for c in stochastic:
+        c["threshold"] = -math.expm1(math.log1p(-ALPHA) / len(stochastic))
+        c["passed"] = c["p_value"] > c["threshold"]
     payload = dict(payload)
     payload["checks"] = checks
     payload["all_checks_passed"] = all(c["passed"] for c in checks)
@@ -395,9 +401,7 @@ def render_csv(report: dict) -> str:
     buf = io.StringIO()
     for key in sorted(report["header"]):
         buf.write(f"# {key}={report['header'][key]}\n")
-    writer = csv.writer(buf)
-    for row in report["_csv_table"]:
-        writer.writerow(row)
+    csv.writer(buf).writerows(report["_csv_table"])
     return buf.getvalue()
 
 
@@ -412,15 +416,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_axis(text):
-    if isinstance(text, (int, float)):
-        return float(text)
-    if text in ("x", "y", "z"):
-        return text
+def _parse_axis(value, flag: str):
+    if value in ("x", "y", "z"):
+        return value
     try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"axis must be x, y, z or degrees, got {text!r}") from None
+        degrees = float(value)
+    except (TypeError, ValueError, OverflowError):
+        degrees = math.nan
+    if isinstance(value, bool) or not math.isfinite(degrees):
+        raise UsageError(f"{flag} must be x, y, z or a finite angle in degrees, got {value!r}")
+    return degrees
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,11 +504,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"{ENV_SEED} must be an integer, "
                              f"got {os.environ[ENV_SEED]!r}") from None
     if "seed" in file_cfg:
-        seed, source = int(file_cfg["seed"]), "config"
+        seed, source = file_cfg["seed"], "config"
     if args.seed is not None:
         seed, source = args.seed, "flag"
 
     axes = pick(getattr(args, "axes", None), "axes", epr_mod.DEFAULT_CHSH_AXES)
+    if not isinstance(axes, (list, tuple)):
+        raise UsageError(f"--axes needs a list of 4 axes, got {axes!r}")
     default_policy = "independent" if args.command == "hulk" else "joint"
     return RunConfig(
         command=args.command,
@@ -513,9 +520,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         minds=pick(args.minds, "minds", 10000),
         trials=pick(args.trials, "trials", 100000),
         policy=pick(args.policy, "policy", default_policy),
-        alice_axis=_parse_axis(pick(getattr(args, "alice_axis", None), "alice_axis", "z")),
-        bob_axis=_parse_axis(pick(getattr(args, "bob_axis", None), "bob_axis", "z")),
-        axes=tuple(_parse_axis(x) for x in axes),
+        alice_axis=_parse_axis(pick(getattr(args, "alice_axis", None), "alice_axis", "z"),
+                               "--alice-axis"),
+        bob_axis=_parse_axis(pick(getattr(args, "bob_axis", None), "bob_axis", "z"),
+                             "--bob-axis"),
+        axes=tuple(_parse_axis(x, "--axes") for x in axes),
         spec_path=pick(getattr(args, "spec", None), "spec", None),
         out=pick(args.out, "out", None),
         format=pick(args.format, "format", "json"),
@@ -531,10 +540,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve(args)
         status, report = run(config)
-    except UsageError as exc:
-        print(f"manyminds: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # UsageError is a ValueError
         print(f"manyminds: error: {exc}", file=sys.stderr)
         return 1
     except PhysicsAssertionError as exc:

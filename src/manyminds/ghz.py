@@ -90,9 +90,7 @@ SCENARIOS = (Scenario.XXX, Scenario.XYY, Scenario.YXY, Scenario.YYX)
 def ghz_state() -> StateVector:
     """(|+++> - |--->)/sqrt(2) in the z basis, on particles p1, p2, p3."""
     layout = SubsystemLayout(tuple((p, _SIGNS) for p in PARTICLES))
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = 1.0 / sqrt(2.0)
-    amps[7] = -1.0 / sqrt(2.0)
+    amps = np.array([1.0, 0, 0, 0, 0, 0, 0, -1.0], dtype=complex) / sqrt(2.0)
     return StateVector(layout, amps)
 
 
@@ -121,13 +119,6 @@ class ScenarioPartition:
     triples: tuple[tuple[str, str, str], ...]
 
 
-def _sign_product(triple) -> int:
-    out = 1
-    for s in triple:
-        out *= 1 if s == "+" else -1
-    return out
-
-
 def allowed_triples(scenario: Scenario) -> ScenarioPartition:
     """Outcome triples consistent with the scenario's product constraint.
 
@@ -136,7 +127,7 @@ def allowed_triples(scenario: Scenario) -> ScenarioPartition:
     """
     triples = tuple(sorted(
         t for t in itertools.product(_SIGNS, repeat=3)
-        if _sign_product(t) == scenario.eigenvalue))
+        if prod(1 if s == "+" else -1 for s in t) == scenario.eigenvalue))
     return ScenarioPartition(scenario, triples)
 
 
@@ -206,11 +197,6 @@ class ScenarioSample:
         """Count per allowed triple (lexicographic order) in one scenario."""
         return np.bincount(self.indices[:, scenario.index - 1], minlength=4)
 
-    def plus_fraction(self, observer: str, scenario: Scenario) -> float:
-        signs = _SIGN_TABLE[scenario.index - 1, OBSERVERS.index(observer)]
-        per_mind = signs[self.indices[:, scenario.index - 1]]
-        return float(np.mean(per_mind == 1))
-
 
 def all_cells() -> np.ndarray:
     """The 256 cells as a (256, 4) triple-index array; row k is cell id k
@@ -261,9 +247,6 @@ class PigeonholeReport:
     @property
     def nonempty_cells(self) -> int:
         return int(np.count_nonzero(self.counts))
-
-    def frequency(self, cell_id: int) -> Fraction:
-        return Fraction(int(self.counts[cell_id]), self.n)
 
 
 def pigeonhole_report(sample: ScenarioSample) -> PigeonholeReport:

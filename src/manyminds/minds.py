@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .quantum import ATOL, BranchDecomposition
+from .quantum import ATOL, BranchDecomposition, conditional_distribution
 from .rng import RngSpec, sample_indices
 
 __all__ = [
@@ -380,8 +380,6 @@ def report_correlation(ensembles: list[MindEnsemble], decomp: BranchDecompositio
 
 def _deterministic_report_map(decomp: BranchDecomposition, own: str, report: str,
                               ) -> dict[str, str]:
-    from .quantum import conditional_distribution
-
     cond = conditional_distribution(decomp, [own], [report])
     out = {}
     for (outcome,), dist in cond.items():

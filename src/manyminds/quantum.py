@@ -96,21 +96,23 @@ class PhysicsAssertionError(RuntimeError):
 def axis_vector(axis) -> np.ndarray:
     """Unit 3-vector for an axis given as a name, an angle, or a vector.
 
-    Accepts "x"/"y"/"z", a number (degrees from +z, tilting toward +x in the
-    x-z plane), or a length-3 sequence (checked for unit norm).
+    Accepts "x"/"y"/"z", a finite number (degrees from +z, tilting toward +x
+    in the x-z plane), or a finite length-3 sequence (checked for unit norm).
     """
     if isinstance(axis, str):
         if axis not in _NAMED_VECTORS:
             raise ValueError(f"unknown axis name {axis!r}")
         return np.array(_NAMED_VECTORS[axis])
     if isinstance(axis, (int, float)) and not isinstance(axis, bool):
+        if not np.isfinite(axis):
+            raise ValueError(f"axis angle must be finite, got {axis!r}")
         theta = np.deg2rad(float(axis))
         return np.array([sin(theta), 0.0, cos(theta)])
     vec = np.asarray(axis, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"axis vector must have 3 components, got shape {vec.shape}")
-    if abs(np.linalg.norm(vec) - 1.0) > ATOL:
-        raise ValueError(f"axis vector must be unit length, |v| = {np.linalg.norm(vec)}")
+    if not abs(np.linalg.norm(vec) - 1.0) <= ATOL:  # also false for a NaN or inf entry
+        raise ValueError(f"axis vector must be finite, unit length: |v| = {np.linalg.norm(vec)}")
     return vec
 
 
@@ -505,7 +507,6 @@ def _matrix_element(state: StateVector, op: Operator) -> complex:
         raise ValueError(
             f"operator dimension {op.matrix.shape[0]} does not match subsystems {op.subsystems}")
     moved = np.moveaxis(state.tensor_amps, axes, range(-len(axes), 0))
-    head = moved.shape[: moved.ndim - len(axes)]
     flat = moved.reshape(-1, int(np.prod(dims)))
     applied = flat @ op.matrix.T
     return complex(np.vdot(flat, applied))

@@ -32,6 +32,8 @@ __all__ = [
     "repeated_frequency",
     "chernoff_bound",
     "chi_square_pvalue",
+    "chi_square_tail",
+    "pearson_statistic",
     "tree_spec_from_json",
     "load_tree_spec",
 ]
@@ -69,6 +71,8 @@ class TreeEvent:
             labels = tuple(str(i + 1) for i in range(len(probs)))
         elif len(labels) != len(probs):
             raise ValueError(f"{self.event_id}: {len(labels)} labels for {len(probs)} outcomes")
+        elif len(set(labels)) != len(labels):
+            raise ValueError(f"{self.event_id}: duplicate labels {list(labels)}")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", tuple(labels))
 
@@ -102,10 +106,6 @@ class Tree:
     def active_events(self) -> tuple[TreeEvent, ...]:
         return tuple(e for e in self.spec.events if not e.skip)
 
-    @property
-    def leaf_table(self) -> dict[tuple[str, ...], float]:
-        return {p: float(w) for p, w in zip(self.paths, self.probs)}
-
 
 def build_tree(spec: TreeSpec) -> Tree:
     active = [e for e in spec.events if not e.skip]
@@ -130,13 +130,6 @@ class WalkResult:
     def __post_init__(self):
         if int(self.counts.sum()) != self.total:
             raise ValueError("leaf counts do not add up to the walker total")
-
-    @property
-    def count_table(self) -> dict[tuple[str, ...], int]:
-        return {p: int(c) for p, c in zip(self.tree.paths, self.counts)}
-
-    def frequency(self, path: tuple[str, ...]) -> float:
-        return self.count_table[path] / self.total
 
     def event_marginal(self, event_id: str) -> dict[str, float]:
         """Fraction of walkers per outcome of one event, summed over leaves."""
@@ -190,12 +183,31 @@ def chi_square_pvalue(result: WalkResult) -> float:
     positive = expected > 0
     if np.any(observed[~positive]):
         return 0.0
-    observed, expected = observed[positive], expected[positive]
-    df = float(len(observed) - 1)
+    df = float(np.count_nonzero(positive) - 1)
     if df == 0:
         return 1.0
-    stat = np.sum((observed - expected) ** 2 / expected)
-    return float(chdtrc(df, stat))
+    return float(chdtrc(df, pearson_statistic(observed, expected)))
+
+
+def pearson_statistic(observed, expected) -> float:
+    """Pearson's sum of (O - E)^2 / E over cells with E > 0, in scipy's order of operations."""
+    observed, expected = np.asarray(observed, np.float64), np.asarray(expected, np.float64)
+    positive = expected > 0
+    return float(np.sum((observed[positive] - expected[positive]) ** 2 / expected[positive]))
+
+
+def chi_square_tail(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with integer ``df`` >= 1, without scipy
+    (Abramowitz & Stegun 26.4.4-26.4.5): with h = x/2, the sum of h^a e^-h / a!
+    over a = df/2 - 1, df/2 - 2, ... >= 0, plus erfc(sqrt h) for odd df. Each
+    term goes through its logarithm, so none underflows on its own."""
+    h = x / 2.0
+    if h <= 0:
+        return 1.0
+    head = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    terms = (math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+             for a in (df % 2 / 2 + j for j in range(df // 2)))
+    return min(1.0, math.fsum((head, *terms)))
 
 
 @dataclass(frozen=True)
@@ -205,10 +217,6 @@ class FrequencyResult:
     p: float
     trials: int
     frequencies: np.ndarray = field(repr=False)
-
-    @property
-    def mean_frequency(self) -> float:
-        return float(self.frequencies.mean())
 
     def deviant_fraction(self, eps: float) -> float:
         return float(np.mean(np.abs(self.frequencies - self.p) > eps))
@@ -240,20 +248,24 @@ def repeated_frequency(p: float, trials: int, n_walkers: int, rng: RngSpec) -> F
 def tree_spec_from_json(data: dict) -> TreeSpec:
     """Parse {"events": [{"probs": [...], "labels": [...]?, "id": ...?},
     {"skip": true}, ...]}."""
-    if "events" not in data:
+    entries = data.get("events") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
         raise ValueError('tree spec needs an "events" list')
     events = []
-    for k, entry in enumerate(data["events"]):
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"event {k}: must be a JSON object, got {entry!r}")
         if entry.get("skip"):
             events.append(SKIP)
             continue
-        if "probs" not in entry:
-            raise ValueError(f"event {k}: needs probs or skip")
-        events.append(TreeEvent(
-            entry.get("id", f"t{k + 1}"),
-            tuple(entry["probs"]),
-            tuple(entry["labels"]) if "labels" in entry else None,
-        ))
+        event_id, probs = entry.get("id", f"t{k + 1}"), entry.get("probs")
+        labels = entry.get("labels", [])
+        if not (isinstance(event_id, str) and isinstance(probs, list)
+                and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs)
+                and isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValueError(f"event {k}: needs skip or numeric probs; id and labels are strings")
+        events.append(TreeEvent(event_id, tuple(probs),
+                                tuple(labels) if "labels" in entry else None))
     return TreeSpec(tuple(events))
 
 

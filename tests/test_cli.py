@@ -1,14 +1,20 @@
 """CLI plumbing: config resolution, reports, exit codes, determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manyminds import cli
+from manyminds import ghz
+from manyminds.rng import sample_indices
 
 
 def run_to_file(tmp_path, argv, name="report.json"):
@@ -40,7 +46,7 @@ class TestCommands:
         assert report["body"]["satisfying"] == 0
         assert report["body"]["total"] == 64
         assert report["header"]["command"] == "enumerate"
-        assert report["header"]["schema_version"] == 1
+        assert report["header"]["schema_version"] == 2
 
     def test_tree(self, tmp_path, tree_spec_path):
         status, out = run_to_file(tmp_path, ["tree", "--spec", tree_spec_path,
@@ -74,7 +80,7 @@ class TestCommands:
         assert status == 0
         body = load(out)["body"]
         assert body["policy"] == "independent/single-mind"
-        assert abs(body["mismatch_rate"] - 0.5) <= body["tolerance"]
+        assert abs(body["mismatch_rate"] - 0.5) <= 4 * math.sqrt(0.5 * 0.5 / 30000)
 
     def test_hulk_joint_rate_zero(self, tmp_path):
         status, out = run_to_file(tmp_path, ["hulk", "--trials", "5000", "--seed", "1",
@@ -97,7 +103,8 @@ class TestCommands:
         assert status == 0
         body = load(out)["body"]
         assert body["exact"] == pytest.approx(2 ** 1.5, abs=1e-9)
-        assert abs(body["estimate"] - body["exact"]) <= body["tolerance"]
+        se_sq = sum(1 - pair["exact"] ** 2 for pair in body["pairs"]) / 20000
+        assert abs(body["estimate"] - body["exact"]) <= 4 * math.sqrt(se_sq)
 
     def test_chsh_custom_axes_degenerate(self, tmp_path):
         status, out = run_to_file(tmp_path, ["chsh", "--trials", "2000", "--seed", "9",
@@ -244,6 +251,44 @@ class TestUsageErrors:
         assert cli.main(["tree", "--spec", str(spec)]) == 1
         assert "freq" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["epr", "--bob-axis", "nan"], "--bob-axis"),
+        (["epr", "--bob-axis", "inf"], "--bob-axis"),
+        (["epr", "--alice-axis=-inf"], "--alice-axis"),
+        (["chsh", "--axes", "0", "90", "45", "nan"], "--axes"),
+    ])
+    def test_non_finite_axis_names_the_flag(self, argv, flag, capsys):
+        assert cli.main(argv) == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("epr", {"minds": "100"}, "minds"),
+        ("chsh", {"axes": 5}, "axes"),
+        ("epr", {"threads": 2.5}, "threads"),
+        ("epr", {"seed": 1.7}, "seed"),
+        ("epr", {"seed": True}, "seed"),
+        ("epr", {"out": 5}, "out"),
+    ])
+    def test_config_value_of_wrong_json_type(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        {"events": [{"probs": [0.5, 0.5], "labels": ["a", "a"]}]},
+        {"events": [{"probs": [0.5, 0.5], "labels": [1, 2]}]},
+        {"events": [3]},
+        {"events": 3},
+        {"events": [{"probs": 0.5}]},
+        {"events": [{"probs": [0.5, 0.5], "id": ["e"]}]},
+    ])
+    def test_malformed_tree_spec(self, tmp_path, capsys, spec):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["tree", "--spec", str(path), "--minds", "100"]) == 1
+        assert "error" in capsys.readouterr().err
+
 
 class TestPhysicsFailureExit:
     def test_failed_check_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -317,3 +362,74 @@ class TestDeterminism:
             rows.append([l for l in out.read_text().splitlines()
                          if not l.startswith("# timestamp")])
         assert rows[0] == rows[1]
+
+
+def stochastic_checks(body):
+    return [c for c in body["checks"] if "p_value" in c]
+
+
+def skewed_scenarios(n_triples, rng):
+    """The GHZ sampler with the first XXX triple at weight 0.26 instead of 1/4."""
+    probs = {1: [0.26] + [0.74 / 3] * 3}
+    columns = [sample_indices(rng.uniforms(n_triples, "ghz", scen.index),
+                              probs.get(scen.index, [0.25] * 4)) for scen in ghz.SCENARIOS]
+    return ghz.ScenarioSample(np.stack(columns, axis=1))
+
+
+class TestStochasticChecks:
+    @settings(max_examples=100, deadline=None)
+    @given(p_values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_sidak_thresholds_combine_to_alpha(self, p_values):
+        def sampled(config):
+            checks = [cli._stochastic(f"c{i}", 0.0, p, "") for i, p in enumerate(p_values)]
+            return {}, checks + [cli._check("exact", True, "")], [["k", "v"]]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(cli._RUNNERS, "enumerate", sampled)
+            status, report = cli.run(cli.RunConfig("enumerate"))
+        checks = report["body"]["checks"]
+        assert checks[-1] == {"name": "exact", "passed": True, "detail": ""}
+        thresholds = {c["threshold"] for c in checks[:-1]}
+        assert len(thresholds) == 1
+        t = thresholds.pop()
+        assert -math.expm1(len(p_values) * math.log1p(-t)) == pytest.approx(cli.ALPHA, rel=1e-12)
+        assert [c["passed"] for c in checks[:-1]] == [p > t for p in p_values]
+        assert status == (0 if all(p > t for p in p_values) else 2)
+
+    def test_one_check_runs_at_alpha(self, tree_spec_path):
+        _, report = cli.run(cli.RunConfig("tree", spec_path=tree_spec_path, minds=1000))
+        (check,) = stochastic_checks(report["body"])
+        assert check["threshold"] == cli.ALPHA
+
+    def test_golden_records_carry_statistic_threshold_and_verdict(self):
+        golden = Path(__file__).parent / "golden"
+        for path in sorted(golden.glob("*.json")):
+            checks = json.loads(path.read_text())["checks"]
+            sampled = stochastic_checks({"checks": checks})
+            for c in checks:
+                if c in sampled:
+                    assert set(c) == {"name", "passed", "detail", "statistic", "threshold",
+                                      "p_value"}
+                    assert c["passed"] == (c["p_value"] > c["threshold"])
+                else:
+                    assert set(c) == {"name", "passed", "detail"}
+            if sampled:
+                family = 1 - math.prod(1 - c["threshold"] for c in sampled)
+                assert family == pytest.approx(cli.ALPHA, rel=1e-9), path.name
+
+    @pytest.mark.parametrize("argv", [
+        # these exited 2 under per-quantity 4-sigma bands with no multiplicity correction
+        ["ghz", "--minds", "1000000", "--seed", "0"],
+        ["epr", "--minds", "500000", "--policy", "independent", "--seed", "2"],
+    ])
+    def test_correct_runs_that_used_to_fail(self, tmp_path, argv):
+        status, out = run_to_file(tmp_path, argv)
+        assert status == 0
+        assert all(c["passed"] for c in load(out)["body"]["checks"])
+
+    def test_cell_check_detects_one_skewed_triple(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ghz, "simulate_scenarios", skewed_scenarios)
+        status, out = run_to_file(tmp_path, ["ghz", "--minds", "1000000", "--seed", "0"])
+        assert status == 2
+        failed = [c["name"] for c in load(out)["body"]["checks"] if not c["passed"]]
+        assert failed == ["cell_frequency_band"]

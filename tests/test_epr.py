@@ -77,6 +77,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             EprConfig(RngSpec(1), n_minds=0)
 
+    @pytest.mark.parametrize("axis", [float("nan"), float("inf"), (float("nan"), 0.0, 1.0),
+                                      (float("inf"), 0.0, 0.0)])
+    def test_rejects_non_finite_axis(self, axis):
+        with pytest.raises(ValueError, match="finite"):
+            EprConfig(RngSpec(0), alice_axis=axis)
+        with pytest.raises(ValueError, match="finite"):
+            correlation("z", axis)
+
     def test_rejects_policy_given_as_text(self):
         with pytest.raises(ValueError, match="JOINTLY_CORRELATED"):
             EprConfig(RngSpec(1), policy="joint")

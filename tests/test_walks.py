@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from manyminds import cli
 from manyminds.rng import RngSpec
@@ -19,6 +19,7 @@ from manyminds.walks import (
     build_tree,
     chernoff_bound,
     chi_square_pvalue,
+    chi_square_tail,
     load_tree_spec,
     random_walk,
     repeated_frequency,
@@ -37,8 +38,8 @@ class TestBuildTree:
     def test_six_leaves_with_product_probs(self):
         tree = build_tree(TWO_THREE_TREE)
         assert len(tree.paths) == 6
-        assert tree.leaf_table[("1", "1")] == pytest.approx(1 / 9, abs=1e-12)
-        assert tree.leaf_table[("2", "3")] == pytest.approx(2 / 9, abs=1e-12)
+        assert tree.probs[tree.paths.index(("1", "1"))] == pytest.approx(1 / 9, abs=1e-12)
+        assert tree.probs[tree.paths.index(("2", "3"))] == pytest.approx(2 / 9, abs=1e-12)
         assert tree.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_skip_slot_adds_no_leaves(self):
@@ -49,8 +50,13 @@ class TestBuildTree:
         ))
         tree = build_tree(spec)
         assert len(tree.paths) == 6
-        assert tree.leaf_table[("2", "1")] == pytest.approx(0.6 * 0.3, abs=1e-12)
+        assert tree.probs[tree.paths.index(("2", "1"))] == pytest.approx(0.6 * 0.3, abs=1e-12)
         assert all(len(p) == 2 for p in tree.paths)
+
+    def test_duplicate_labels_rejected(self):
+        # two leaves would share a path, and event_marginal would drop an outcome
+        with pytest.raises(ValueError, match="duplicate labels"):
+            TreeEvent("a", (0.5, 0.5), ("x", "x"))
 
     def test_invalid_vectors_rejected(self):
         with pytest.raises(ValueError):
@@ -88,7 +94,7 @@ class TestRandomWalk:
     def test_single_outcome_events_are_deterministic(self):
         spec = TreeSpec((TreeEvent("t1", (1.0,)), TreeEvent("t2", (1.0,))))
         res = random_walk(build_tree(spec), 50, RngSpec(1))
-        assert res.count_table[("1", "1")] == 50
+        assert res.counts[res.tree.paths.index(("1", "1"))] == 50
 
     def test_walks_deterministic_and_walker_count_stable(self):
         tree = build_tree(TWO_THREE_TREE)
@@ -155,6 +161,17 @@ class TestChiSquare:
             chi_square_pvalue(WalkResult(tree, np.array([60, 40]), 100))
 
 
+class TestChiSquareTail:
+    @settings(max_examples=500, deadline=None)
+    @given(df=st.integers(1, 600), scale=st.floats(0.0, 1.0))
+    def test_matches_scipy(self, df, scale):
+        # from x = 0 far into the upper tail, about 40 standard deviations out
+        x = scale * (df + 40 * math.sqrt(2 * df) + 150)
+        want = special.chdtrc(df, x)
+        assume(want > 1e-290)
+        assert abs(chi_square_tail(x, df) - want) <= 1e-9 * want
+
+
 class TestRepeatedFrequency:
     def test_deviant_fraction_respects_chernoff(self):
         res = repeated_frequency(2 / 3, 1000, 10000, RngSpec(23))
@@ -169,7 +186,7 @@ class TestRepeatedFrequency:
     def test_mean_frequency_binomial_band(self):
         n, trials = 100000, 10
         res = repeated_frequency(0.5, trials, n, RngSpec(29))
-        assert abs(res.mean_frequency - 0.5) <= 4 / (2 * math.sqrt(trials * n))
+        assert abs(float(res.frequencies.mean()) - 0.5) <= 4 / (2 * math.sqrt(trials * n))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
