@@ -27,14 +27,9 @@ from itertools import combinations
 from . import SCHEMA_VERSION, __version__
 from . import epr as epr_mod
 from . import ghz as ghz_mod
-from .minds import (
-    JOINTLY_CORRELATED,
-    SINGLE_MIND,
-    PolicyKind,
-    SamplingPolicy,
-    marginal_for,
-)
-from .quantum import PhysicsAssertionError, branch_decompose, partial_trace, trace_distance
+from .minds import JOINTLY_CORRELATED, SINGLE_MIND, SamplingPolicy, marginal_for
+from .quantum import (PhysicsAssertionError, axis_name, branch_decompose, partial_trace,
+                      trace_distance)
 from .rng import RngSpec
 from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_spec,
                     pearson_statistic, random_walk)
@@ -89,11 +84,6 @@ class RunConfig:
     def rng(self) -> RngSpec:
         return RngSpec(self.seed, threads=self.threads)
 
-    def sampling_policy(self, single_mind: bool = False) -> SamplingPolicy:
-        if self.policy == "joint":
-            return JOINTLY_CORRELATED
-        return SINGLE_MIND if single_mind else SamplingPolicy(PolicyKind.INDEPENDENT_LOCAL)
-
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
@@ -146,7 +136,7 @@ def _run_tree(config: RunConfig):
 def _run_epr(config: RunConfig):
     ecfg = epr_mod.EprConfig(
         rng=config.rng, alice_axis=config.alice_axis, bob_axis=config.bob_axis,
-        policy=config.sampling_policy(), n_minds=config.minds)
+        policy=SamplingPolicy(config.policy), n_minds=config.minds)
     exact = epr_mod.correlation(config.alice_axis, config.bob_axis)
 
     run = epr_mod.run_epr(ecfg)
@@ -157,7 +147,6 @@ def _run_epr(config: RunConfig):
     if reports_determined:
         run = epr_mod.communicate_and_check(run)
     rec = run.record
-    echo = ecfg.to_dict()
 
     rows, cols = rec.pair_labels
     empirical = sum((1 if a == b else -1) * rec.pair_count(a, b)
@@ -170,8 +159,8 @@ def _run_epr(config: RunConfig):
     dist = trace_distance(partial_trace(run.state, "alice"), partial_trace(base, "alice"))
 
     payload = {
-        "alice_axis": str(echo["alice_axis"]),
-        "bob_axis": str(echo["bob_axis"]),
+        "alice_axis": axis_name(config.alice_axis),
+        "bob_axis": axis_name(config.bob_axis),
         "communication": "performed" if reports_determined else "skipped",
         "record": rec.to_dict(),
         "exact_correlation": exact,
@@ -200,18 +189,17 @@ def _run_epr(config: RunConfig):
 
 
 def _run_hulk(config: RunConfig):
-    policy = config.sampling_policy(single_mind=True)
+    policy = SINGLE_MIND if config.policy == "independent" else JOINTLY_CORRELATED
     rate = epr_mod.hulk_demo(config.trials, config.rng, policy=policy)
 
     decomp = branch_decompose(epr_mod.singlet(), {"p1": "z", "p2": "z"})
     joint = decomp.joint_distribution()
     pa, pb = marginal_for(decomp, "p1"), marginal_for(decomp, "p2")
-    joint_policy = policy.kind is PolicyKind.JOINTLY_CORRELATED
-    expected = 0.0 if joint_policy else 1.0 - sum(pa[a] * pb[b] for a, b in joint)
+    expected = 0.0 if policy is JOINTLY_CORRELATED else 1.0 - sum(pa[a] * pb[b] for a, b in joint)
 
     payload = {
         "trials": config.trials,
-        "policy": policy.name,
+        "policy": policy.value,
         "mismatch_rate": rate,
         "expected_rate": expected,
     }

@@ -17,16 +17,16 @@ from math import sqrt
 import numpy as np
 
 from .minds import (
+    JOINTLY_CORRELATED,
     SINGLE_MIND,
     MindEnsemble,
-    PolicyKind,
     ReportCheck,
     SamplingPolicy,
     count_off_support,
     init_ensemble,
     marginal_for,
     mismatch_probability,
-    proportions,
+    pair_table,
     report_correlation,
     split_joint,
     split_local,
@@ -35,7 +35,6 @@ from .quantum import (
     BranchDecomposition,
     StateVector,
     SubsystemLayout,
-    axis_name,
     axis_vector,
     branch_decompose,
     conditional_distribution,
@@ -102,40 +101,25 @@ class EprConfig:
         if self.n_minds < 1:
             raise ValueError(f"n_minds must be >= 1, got {self.n_minds}")
 
-    def to_dict(self) -> dict:
-        return {
-            "alice_axis": axis_name(self.alice_axis),
-            "bob_axis": axis_name(self.bob_axis),
-            "policy": self.policy.name,
-            "n_minds": self.n_minds,
-            "rng": self.rng.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome statistics of one run: marginals, index-paired contingency
-    table of mind outcomes, mismatched-pair count, report-consistency flag."""
+    """Outcome statistics of one run: index-paired contingency table of mind
+    outcomes, mismatched-pair count, report-consistency flag."""
 
     n_minds: int
-    proportions: dict[str, dict[str, Fraction]]
     pair_labels: tuple[tuple[str, ...], tuple[str, ...]]
     pair_counts: tuple[tuple[int, ...], ...]
     mismatch_pairs: int
     report_consistent: bool | None = None
 
-    def __post_init__(self):
-        rows, cols = self.pair_labels
+    @property
+    def proportions(self) -> dict[str, dict[str, Fraction]]:
+        """Exact outcome fractions: alice's are the table's row sums, bob's its column sums."""
         table = np.asarray(self.pair_counts)
-        obs_a, obs_b = OBSERVERS
-        for labels, sums, obs in ((rows, table.sum(axis=1), obs_a),
-                                  (cols, table.sum(axis=0), obs_b)):
-            for label, s in zip(labels, sums):
-                expect = self.proportions[obs][label] * self.n_minds
-                if expect != int(s):
-                    raise ValueError(
-                        f"contingency marginal for {obs}:{label} is {int(s)}, "
-                        f"proportions say {expect}")
+        sums = (table.sum(axis=1).tolist(), table.sum(axis=0).tolist())
+        return {obs: {label: Fraction(s, self.n_minds) for label, s in zip(labels, col)}
+                for obs, labels, col in zip(OBSERVERS, self.pair_labels, sums)}
 
     def pair_count(self, a_label: str, b_label: str) -> int:
         i = self.pair_labels[0].index(a_label)
@@ -160,7 +144,6 @@ class EprRun:
 
     config: EprConfig
     state: StateVector
-    measure_decomp: BranchDecomposition
     ensembles: tuple[MindEnsemble, ...]
     record: RunRecord
     comm_decomp: BranchDecomposition | None = None
@@ -190,20 +173,17 @@ def prepare_state(config: EprConfig, pair: StateVector | None = None) -> StateVe
     return premeasure(state, "p2", config.bob_axis, "bob")
 
 
-def _make_record(ensembles: tuple[MindEnsemble, ...], decomp: BranchDecomposition,
-                 report_consistent: bool | None = None) -> RunRecord:
+def _make_record(ensembles: tuple[MindEnsemble, ...], decomp: BranchDecomposition) -> RunRecord:
     alice, bob = ensembles
     ka, kb = alice.event_index("measure"), bob.event_index("measure")
     rows, cols = alice.outcome_labels[ka], bob.outcome_labels[kb]
     ia, ib = alice.assignments[ka], bob.assignments[kb]
-    table = np.bincount(ia.astype(np.int64) * len(cols) + ib, minlength=len(rows) * len(cols))
+    table = pair_table(ia, ib, (len(rows), len(cols)))
     return RunRecord(
         n_minds=alice.size,
-        proportions={ens.observer: proportions(ens, "measure") for ens in ensembles},
         pair_labels=(rows, cols),
-        pair_counts=tuple(tuple(row) for row in table.reshape(len(rows), -1).tolist()),
+        pair_counts=tuple(tuple(row) for row in table.tolist()),
         mismatch_pairs=count_off_support(decomp, (rows, cols), ia, ib),
-        report_consistent=report_consistent,
     )
 
 
@@ -213,13 +193,13 @@ def run_epr(config: EprConfig, pair: StateVector | None = None) -> EprRun:
     decomp = branch_decompose(state, {"alice": None, "bob": None})
     ensembles = [init_ensemble(obs, config.n_minds, config.rng, config.policy)
                  for obs in OBSERVERS]
-    if config.policy.kind is PolicyKind.JOINTLY_CORRELATED:
+    if config.policy is JOINTLY_CORRELATED:
         ensembles = split_joint(ensembles, "measure", decomp)
     else:
         ensembles = [split_local(ens, "measure", marginal_for(decomp, ens.observer))
                      for ens in ensembles]
     ensembles = tuple(ensembles)
-    return EprRun(config, state, decomp, ensembles, _make_record(ensembles, decomp))
+    return EprRun(config, state, ensembles, _make_record(ensembles, decomp))
 
 
 def communicate_and_check(run: EprRun | EprConfig) -> EprRun:
@@ -240,7 +220,7 @@ def communicate_and_check(run: EprRun | EprConfig) -> EprRun:
     names = ("alice", "bob", "alice_report", "bob_report")
     decomp = branch_decompose(state, dict.fromkeys(names))
 
-    if run.config.policy.kind is PolicyKind.JOINTLY_CORRELATED:
+    if run.config.policy is JOINTLY_CORRELATED:
         cond = conditional_distribution(decomp, ("alice", "bob"),
                                         ("alice_report", "bob_report"))
         table = {((a,), (b,)): dist for (a, b), dist in cond.items()}
@@ -255,14 +235,12 @@ def communicate_and_check(run: EprRun | EprConfig) -> EprRun:
         ensembles = tuple(ensembles)
 
     checks = tuple(report_correlation(list(ensembles), decomp, "measure", "report"))
-    record = _make_record(ensembles, run.measure_decomp,
-                          report_consistent=all(c.all_consistent for c in checks))
+    record = replace(run.record, report_consistent=all(c.all_consistent for c in checks))
     return replace(run, state=state, ensembles=ensembles, record=record,
                    comm_decomp=decomp, report_checks=checks)
 
 
-def hulk_demo(trials: int, rng: RngSpec, *, policy: SamplingPolicy = SINGLE_MIND,
-              state: StateVector | None = None) -> float:
+def hulk_demo(trials: int, rng: RngSpec, *, policy: SamplingPolicy = SINGLE_MIND) -> float:
     """Empirical probability that the two wings' minds track different branches.
 
     Each trial measures both particles along z and gives each wing one mind.
@@ -271,10 +249,7 @@ def hulk_demo(trials: int, rng: RngSpec, *, policy: SamplingPolicy = SINGLE_MIND
     records no mind perceives; jointly-correlated sampling removes the effect
     entirely.
     """
-    if state is None:
-        state = singlet()
-    p1, p2 = state.layout.names
-    decomp = branch_decompose(state, {p1: "z", p2: "z"})
+    decomp = branch_decompose(singlet(), {"p1": "z", "p2": "z"})
     return mismatch_probability(policy, decomp, trials, rng)
 
 

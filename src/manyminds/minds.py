@@ -29,7 +29,6 @@ from .quantum import ATOL, BranchDecomposition, conditional_distribution
 from .rng import RngSpec, sample_indices
 
 __all__ = [
-    "PolicyKind",
     "SamplingPolicy",
     "INDEPENDENT_LOCAL",
     "JOINTLY_CORRELATED",
@@ -40,30 +39,24 @@ __all__ = [
     "split_local",
     "split_joint",
     "proportions",
+    "pair_table",
     "count_off_support",
     "mismatch_probability",
     "report_correlation",
 ]
 
 
-class PolicyKind(Enum):
+class SamplingPolicy(Enum):
+    """How minds split; each value is the name reports print."""
+
     INDEPENDENT_LOCAL = "independent"
     JOINTLY_CORRELATED = "joint"
+    SINGLE_MIND = "independent/single-mind"  # independent-local, one mind per observer
 
 
-@dataclass(frozen=True)
-class SamplingPolicy:
-    kind: PolicyKind
-    single_mind: bool = False
-
-    @property
-    def name(self) -> str:
-        return self.kind.value + ("/single-mind" if self.single_mind else "")
-
-
-INDEPENDENT_LOCAL = SamplingPolicy(PolicyKind.INDEPENDENT_LOCAL)
-JOINTLY_CORRELATED = SamplingPolicy(PolicyKind.JOINTLY_CORRELATED)
-SINGLE_MIND = SamplingPolicy(PolicyKind.INDEPENDENT_LOCAL, single_mind=True)
+INDEPENDENT_LOCAL = SamplingPolicy.INDEPENDENT_LOCAL
+JOINTLY_CORRELATED = SamplingPolicy.JOINTLY_CORRELATED
+SINGLE_MIND = SamplingPolicy.SINGLE_MIND
 
 
 MAX_OUTCOMES = int(np.iinfo(np.int16).max)  # outcomes per event that an int16 column indexes
@@ -130,7 +123,7 @@ def init_ensemble(observer: str, n: int, rng: RngSpec,
     """Fresh ensemble with empty histories; single-mind policies force n to 1."""
     if n < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n}")
-    if policy.single_mind:
+    if policy is SINGLE_MIND:
         n = 1
     return MindEnsemble(observer, n, rng, policy)
 
@@ -224,8 +217,8 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
     n = ensembles[0].size
     rng = ensembles[0].rng
     for ens in ensembles:
-        if ens.policy.kind is not PolicyKind.JOINTLY_CORRELATED:
-            raise ValueError(f"policy mismatch: {ens.observer!r} is {ens.policy.name}, "
+        if ens.policy is not JOINTLY_CORRELATED:
+            raise ValueError(f"policy mismatch: {ens.observer!r} is {ens.policy.value}, "
                              "split_joint requires jointly-correlated ensembles")
         if ens.size != n:
             raise ValueError(f"size mismatch: {ens.observer!r} has {ens.size} minds, expected {n}")
@@ -272,6 +265,13 @@ def proportions(ensemble: MindEnsemble, event_id: str) -> dict[str, Fraction]:
             for label, c in zip(ensemble.outcome_labels[k], counts)}
 
 
+def pair_table(ia: np.ndarray, ib: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Contingency table of two index columns: ``[i, j]`` counts where ia is i and ib is j."""
+    rows, cols = shape
+    flat = np.bincount(ia.astype(np.int64) * cols + ib, minlength=rows * cols)
+    return flat.reshape(rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # Mindless-hulk mismatch and report consistency
 
@@ -293,9 +293,9 @@ def mismatch_probability(policy: SamplingPolicy, decomp: BranchDecomposition,
     if len(decomp.subsystems) != 2:
         raise ValueError("mismatch probability is defined for two observers")
     minds = [MindEnsemble(obs, trials, rng, policy) for obs in decomp.subsystems]
-    if policy.kind is PolicyKind.JOINTLY_CORRELATED:
+    if policy is JOINTLY_CORRELATED:
         a, b = split_joint(minds, "mismatch", decomp)
-    elif not policy.single_mind:
+    elif policy is not SINGLE_MIND:
         raise ValueError("independent-local mismatch trials require the single-mind policy "
                          "(one mind per observer per trial)")
     else:
@@ -310,12 +310,10 @@ def count_off_support(decomp: BranchDecomposition,
                       ia: np.ndarray, ib: np.ndarray) -> int:
     """How many pairs (labels[0][ia[i]], labels[1][ib[i]]) are not a branch of
     the two-subsystem ``decomp``, i.e. pair minds that track different branches."""
-    labels_a, labels_b = labels
-    support = np.zeros((len(labels_a), len(labels_b)), dtype=bool)
-    for a, b in decomp.joint_distribution():
-        if a in labels_a and b in labels_b:
-            support[labels_a.index(a), labels_b.index(b)] = True
-    return int(np.count_nonzero(~support[ia, ib]))
+    support = set(decomp.joint_distribution())
+    table = pair_table(ia, ib, (len(labels[0]), len(labels[1])))
+    return sum(int(c) for (i, j), c in np.ndenumerate(table)
+               if (labels[0][i], labels[1][j]) not in support)
 
 
 def marginal_for(decomp: BranchDecomposition, observer: str) -> dict[str, float]:
@@ -360,13 +358,12 @@ def report_correlation(ensembles: list[MindEnsemble], decomp: BranchDecompositio
         cond = _deterministic_report_map(decomp, ens.observer, f"{ens.observer}_report")
         k_own, k_seen = ens.event_index(measure_event), ens.event_index(report_event)
         own_labels, seen_labels = ens.outcome_labels[k_own], ens.outcome_labels[k_seen]
-        width = len(seen_labels)
         # table[i, j]: minds with own outcome i that perceive report j
-        table = np.bincount(ens.assignments[k_own].astype(np.int64) * width
-                            + ens.assignments[k_seen], minlength=len(own_labels) * width)
+        table = pair_table(ens.assignments[k_own], ens.assignments[k_seen],
+                           (len(own_labels), len(seen_labels)))
         consistent = 0
         observed: dict[str, dict[str, int]] = {}
-        for own, row in zip(own_labels, table.reshape(-1, width).tolist()):
+        for own, row in zip(own_labels, table.tolist()):
             if not any(row):
                 continue
             if own not in cond:

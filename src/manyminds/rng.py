@@ -60,28 +60,22 @@ class RngSpec:
         """n uniforms in [0, 1); entry i is the draw for counter (mind, walker, trial) i."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        if self.threads == 1 or n < 4 * _BLOCK * self.threads:
-            return self.stream(*scope).random(n)
-        return self._uniforms_chunked(n, scope)
+        out = np.empty(n)
+        per = n  # chunk length; chunk starts sit on Philox block boundaries
+        if self.threads > 1 and n >= 4 * _BLOCK * self.threads:
+            per = -(-n // (_BLOCK * self.threads)) * _BLOCK
 
-    def _uniforms_chunked(self, n: int, scope: tuple) -> np.ndarray:
-        key = _derive_key(self.master_seed, scope)
-        per = -(-n // self.threads)
-        per += (-per) % _BLOCK  # align chunk starts to Philox block boundaries
-        bounds = [(a, min(a + per, n)) for a in range(0, n, per)]
+        def fill(start):
+            gen = self.stream(*scope)
+            gen.bit_generator.advance(start // _BLOCK)
+            gen.random(out=out[start:start + per])
 
-        def fill(span):
-            a, b = span
-            bg = np.random.Philox(key=key)
-            bg.advance(a // _BLOCK)
-            return np.random.Generator(bg).random(b - a)
-
-        with ThreadPoolExecutor(max_workers=min(self.threads, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(fill, bounds))
-        return np.concatenate(parts)
-
-    def to_dict(self) -> dict:
-        return {"master_seed": self.master_seed, "threads": self.threads}
+        if per == n:
+            fill(0)
+        else:
+            with ThreadPoolExecutor(max_workers=min(self.threads, os.cpu_count() or 1)) as pool:
+                list(pool.map(fill, range(0, n, per)))
+        return out
 
 
 def sample_indices(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:

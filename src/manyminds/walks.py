@@ -73,6 +73,8 @@ class TreeEvent:
             raise ValueError(f"{self.event_id}: {len(labels)} labels for {len(probs)} outcomes")
         elif len(set(labels)) != len(labels):
             raise ValueError(f"{self.event_id}: duplicate labels {list(labels)}")
+        elif any("/" in str(label) for label in labels):
+            raise ValueError(f"{self.event_id}: labels may not contain '/': {list(labels)}")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", tuple(labels))
 

@@ -290,6 +290,16 @@ class TestUsageErrors:
         assert "error" in capsys.readouterr().err
 
 
+    def test_slash_in_tree_label_exits_one(self, tmp_path, capsys):
+        # with "/" allowed, two leaves of this tree both printed as a/b/c
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"events": [
+            {"probs": [0.5, 0.5], "labels": ["a", "a/b"]},
+            {"probs": [0.5, 0.5], "labels": ["b/c", "c"]}]}))
+        assert cli.main(["tree", "--spec", str(path), "--minds", "100"]) == 1
+        assert "'/'" in capsys.readouterr().err
+
+
 class TestPhysicsFailureExit:
     def test_failed_check_exits_two(self, tmp_path, monkeypatch, capsys):
         def broken(config):

@@ -1,16 +1,19 @@
 """Singlet runs: anti-correlation, mismatch demo, reports, CHSH."""
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from manyminds.epr import (
     DEFAULT_CHSH_AXES,
     EprConfig,
     EprRun,
-    RunRecord,
+    _make_record,
     chsh,
     chsh_monte_carlo,
     communicate_and_check,
@@ -20,8 +23,15 @@ from manyminds.epr import (
     run_epr,
     singlet,
 )
-from manyminds.minds import INDEPENDENT_LOCAL, JOINTLY_CORRELATED, SINGLE_MIND
+from manyminds.minds import (
+    INDEPENDENT_LOCAL,
+    JOINTLY_CORRELATED,
+    MindEnsemble,
+    proportions,
+)
 from manyminds.quantum import (
+    Branch,
+    BranchDecomposition,
     branch_decompose,
     expectation,
     make_qubit_state,
@@ -89,14 +99,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="JOINTLY_CORRELATED"):
             EprConfig(RngSpec(1), policy="joint")
 
-    def test_to_dict(self):
-        cfg = EprConfig(RngSpec(5), alice_axis="z", bob_axis=45.0,
-                        policy=JOINTLY_CORRELATED, n_minds=10)
-        d = cfg.to_dict()
-        assert d["bob_axis"] == "45deg"
-        assert d["policy"] == "joint"
-        json.dumps(d)
-
 
 class TestRunEpr:
     def test_joint_same_axis_never_agrees(self):
@@ -141,12 +143,23 @@ class TestRunEpr:
         assert blob["proportions"]["alice"]["+"].count("/") <= 1
         json.dumps(blob)
 
-    def test_record_marginal_invariant_enforced(self):
-        run = run_epr(EprConfig(RngSpec(106), policy=JOINTLY_CORRELATED, n_minds=16))
-        rec = run.record
-        with pytest.raises(ValueError, match="marginal"):
-            RunRecord(rec.n_minds, rec.proportions, rec.pair_labels,
-                      ((rec.n_minds, 0), (0, 0)), 0)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), ka=st.integers(1, 4), kb=st.integers(1, 4),
+           n=st.integers(1, 200))
+    def test_record_proportions_are_ensemble_proportions(self, data, ka, kb, n):
+        # the record's marginals are its table's row and column sums; they
+        # must equal what each ensemble's own outcome column says, exactly
+        ensembles = tuple(
+            MindEnsemble(obs, n, RngSpec(0), events=("measure",),
+                         outcome_labels=(tuple(f"{obs[0]}{i}" for i in range(k)),),
+                         assignments=(np.asarray(data.draw(st.lists(
+                             st.integers(0, k - 1), min_size=n, max_size=n))),))
+            for obs, k in (("alice", ka), ("bob", kb)))
+        labels = tuple(ens.outcome_labels[0][0] for ens in ensembles)
+        decomp = BranchDecomposition(("alice", "bob"), ("z", "z"), (Branch(labels, 1.0, 1.0),))
+        got = _make_record(ensembles, decomp).proportions
+        assert got == {ens.observer: proportions(ens, "measure") for ens in ensembles}
+        assert all(type(f) is Fraction for props in got.values() for f in props.values())
 
     def test_alice_stats_invariant_under_bob_axis(self):
         # the minds-level face of no-signaling
@@ -159,7 +172,8 @@ class TestRunEpr:
 
 
 class TestCommunication:
-    @pytest.mark.parametrize("policy", [JOINTLY_CORRELATED, INDEPENDENT_LOCAL])
+    @pytest.mark.parametrize("policy", [JOINTLY_CORRELATED, INDEPENDENT_LOCAL],
+                             ids=["policy0", "policy1"])
     def test_full_report_consistency(self, policy):
         cfg = EprConfig(RngSpec(111), policy=policy, n_minds=2000)
         run = communicate_and_check(cfg)
@@ -204,10 +218,6 @@ class TestHulkDemo:
 
     def test_joint_policy_rate_zero(self):
         assert hulk_demo(5000, RngSpec(122), policy=JOINTLY_CORRELATED) == 0.0
-
-    def test_deterministic_state_rate_zero(self):
-        rate = hulk_demo(2000, RngSpec(123), state=product_pair(1, 0, 1, 0))
-        assert rate == 0.0
 
 
 class TestChsh:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from manyminds.minds import (
@@ -13,10 +15,12 @@ from manyminds.minds import (
     JOINTLY_CORRELATED,
     SINGLE_MIND,
     MindEnsemble,
+    SamplingPolicy,
     count_off_support,
     init_ensemble,
     marginal_for,
     mismatch_probability,
+    pair_table,
     proportions,
     report_correlation,
     split_joint,
@@ -40,6 +44,8 @@ def decomp(subsystems, weights):
 SINGLET_Z = decomp(("alice", "bob"), {("+", "-"): 0.5, ("-", "+"): 0.5})
 # a support that is not a permutation: x pairs with u or v, y only with w
 SKEWED = decomp(("a", "b"), {("x", "u"): 0.2, ("x", "v"): 0.3, ("y", "w"): 0.5})
+# both particles of |+z>|+z> measured along z: one branch
+PRODUCT_Z = decomp(("p1", "p2"), {("+", "+"): 1.0})
 
 
 # Label-loop references: the per-mind computations the index paths replaced.
@@ -167,6 +173,32 @@ def last_column(ens):
 
 def same_column(got, want):
     return got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+class TestSamplingPolicy:
+    @pytest.mark.parametrize("value", ["independent", "joint", "independent/single-mind"])
+    def test_value_is_the_report_name(self, value):
+        assert SamplingPolicy(value).value == value
+
+    def test_members_are_the_module_constants(self):
+        assert SamplingPolicy("joint") is JOINTLY_CORRELATED
+        assert SamplingPolicy("independent") is INDEPENDENT_LOCAL
+        assert SamplingPolicy("independent/single-mind") is SINGLE_MIND
+
+
+class TestPairTable:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           n=st.integers(1, 300))
+    def test_matches_counter(self, data, rows, cols, n):
+        ia = np.asarray(data.draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)),
+                        dtype=np.int16)
+        ib = np.asarray(data.draw(st.lists(st.integers(0, cols - 1), min_size=n, max_size=n)),
+                        dtype=np.int16)
+        table = pair_table(ia, ib, (rows, cols))
+        seen = Counter(zip(ia.tolist(), ib.tolist()))
+        assert table.shape == (rows, cols)
+        assert table.tolist() == [[seen[i, j] for j in range(cols)] for i in range(rows)]
 
 
 class TestInit:
@@ -408,8 +440,12 @@ class TestMismatch:
         rate = mismatch_probability(JOINTLY_CORRELATED, SINGLET_Z, 5000, RngSpec(32))
         assert rate == 0.0
 
+    def test_deterministic_state_rate_zero(self):
+        assert mismatch_probability(SINGLE_MIND, PRODUCT_Z, 2000, RngSpec(123)) == 0.0
+
     @pytest.mark.parametrize("d", [SINGLET_Z, SKEWED], ids=["singlet", "skewed"])
-    @pytest.mark.parametrize("policy", [SINGLE_MIND, JOINTLY_CORRELATED])
+    @pytest.mark.parametrize("policy", [SINGLE_MIND, JOINTLY_CORRELATED],
+                             ids=["policy0", "policy1"])
     def test_matches_label_reference(self, policy, d):
         rng = RngSpec(33)
         assert (mismatch_probability(policy, d, 5000, rng)

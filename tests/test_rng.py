@@ -1,4 +1,6 @@
 """Counter-based stream determinism and inverse-CDF sampling."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -63,9 +65,6 @@ class TestRngSpec:
             RngSpec(2**64)
         with pytest.raises(ValueError):
             RngSpec(0, threads=0)
-
-    def test_to_dict(self):
-        assert RngSpec(11, threads=4).to_dict() == {"master_seed": 11, "threads": 4}
 
 
 class TestSampleIndices:
@@ -135,3 +134,16 @@ class TestLimits:
         values = RngSpec(99, threads=threads).uniforms(5000, "cap")
         assert seen == [workers]
         assert np.array_equal(values, RngSpec(99).uniforms(5000, "cap"))
+
+    def test_more_workers_than_cores_fill_one_buffer(self, monkeypatch):
+        # every worker writes its own slice of the shared output; a lost or
+        # misplaced chunk would show as a value differing from the one stream
+        monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1001, 100_003):
+                got = RngSpec(7, threads=8).uniforms(n, "stress", n)
+                assert np.array_equal(got, RngSpec(7).stream("stress", n).random(n))
+        finally:
+            sys.setswitchinterval(interval)

@@ -58,6 +58,11 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="duplicate labels"):
             TreeEvent("a", (0.5, 0.5), ("x", "x"))
 
+    def test_slash_in_label_rejected(self):
+        # "/" joins labels into leaf paths: ("a", "b/c") and ("a/b", "c") would collide
+        with pytest.raises(ValueError, match="'/'"):
+            TreeEvent("a", (0.5, 0.5), ("a", "a/b"))
+
     def test_invalid_vectors_rejected(self):
         with pytest.raises(ValueError):
             TreeEvent("bad", (0.5, 0.4))
