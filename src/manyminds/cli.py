@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from . import SCHEMA_VERSION, __version__
 from . import epr as epr_mod
@@ -111,11 +112,10 @@ def _run_tree(config: RunConfig):
     result = random_walk(tree, config.minds, config.rng)
     pvalue = chi_square_pvalue(result)
     stat = pearson_statistic(result.counts, tree.probs * config.minds)
-    leaves = [{"path": "/".join(p), "count": int(c), "exact_prob": float(w)}
-              for p, c, w in zip(tree.paths, result.counts, tree.probs)]
+    columns = (list(map("/".join, tree.paths)), result.counts.tolist(), tree.probs.tolist())
     payload = {
         "walkers": config.minds,
-        "leaves": leaves,
+        "leaves": [{"path": p, "count": c, "exact_prob": w} for p, c, w in zip(*columns)],
         "chi_square_pvalue": pvalue,
         "event_marginals": {e.event_id: result.event_marginal(e.event_id)
                             for e in tree.active_events},
@@ -128,9 +128,7 @@ def _run_tree(config: RunConfig):
         _stochastic("chi_square_fit", stat, pvalue,
                     "Pearson chi-square of the leaf counts against the exact probabilities"),
     ]
-    table = [["leaf_path", "count", "exact_prob"]]
-    table += [[row["path"], row["count"], repr(row["exact_prob"])] for row in leaves]
-    return payload, checks, table
+    return payload, checks, [["leaf_path", "count", "exact_prob"], *zip(*columns)]
 
 
 def _run_epr(config: RunConfig):
@@ -381,8 +379,49 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 def render_json(report: dict) -> str:
-    clean = {"header": report["header"], "body": report["body"]}
-    return json.dumps(clean, indent=2, sort_keys=True) + "\n"
+    """Header and body byte for byte as ``json.dumps(indent=2, sort_keys=True)``
+    writes them, without the pure-Python encoder that ``indent`` selects."""
+    return _encode({"header": report["header"], "body": report["body"]}, "") + "\n"
+
+
+def _encode(value, indent: str) -> str:
+    """JSON text of ``value`` whose closing bracket sits at ``indent``; keys are strings."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        ends, items = "{}", (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+                             for k, v in sorted(value.items()))
+    elif isinstance(value, (list, tuple)) and value:
+        ends, items = "[]", _items(value, inner)
+    else:  # scalars and empty containers
+        return json.dumps(value)
+    return "%s\n%s%s\n%s%s" % (ends[0], inner, (",\n" + inner).join(items), indent, ends[1])
+
+
+def _items(values, indent: str) -> list[str]:
+    """JSON text of each list item at ``indent``; column-wise for scalars or same-key dicts."""
+    same_size = set(map(type, values)) == {dict} and len(set(map(len, values))) == 1
+    keys = sorted(values[0]) if same_size else ()
+    try:
+        columns = [_column([row[k] for row in values]) for k in keys] or [_column(values)]
+    except KeyError:  # a row with another key set
+        columns = [None]
+    if None in columns:
+        return [_encode(v, indent) for v in values]
+    fields = (f"{indent}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
+    template = "{\n" + ",\n".join(fields) + "\n" + indent + "}" if keys else "%s"
+    return [template % cells for cells in zip(*columns)]
+
+
+def _column(values) -> list[str] | None:
+    """JSON text of each value, encoded once per type; None unless all are scalars."""
+    encoders = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+                bool: json.dumps, type(None): json.dumps}  # json.dumps: true, null, NaN
+    types = set(map(type, values))
+    if not types <= encoders.keys():
+        return None
+    encode = encoders[types.pop()] if len(types) == 1 else json.dumps
+    finite = encode is not float.__repr__ or math.isfinite(sum(values))  # no nan or inf
+    return list(map(encode if finite else json.dumps, values))
 
 
 def render_csv(report: dict) -> str:

@@ -146,7 +146,6 @@ class EprRun:
     state: StateVector
     ensembles: tuple[MindEnsemble, ...]
     record: RunRecord
-    comm_decomp: BranchDecomposition | None = None
     report_checks: tuple[ReportCheck, ...] | None = None
 
 
@@ -236,8 +235,7 @@ def communicate_and_check(run: EprRun | EprConfig) -> EprRun:
 
     checks = tuple(report_correlation(list(ensembles), decomp, "measure", "report"))
     record = replace(run.record, report_consistent=all(c.all_consistent for c in checks))
-    return replace(run, state=state, ensembles=ensembles, record=record,
-                   comm_decomp=decomp, report_checks=checks)
+    return replace(run, state=state, ensembles=ensembles, record=record, report_checks=checks)
 
 
 def hulk_demo(trials: int, rng: RngSpec, *, policy: SamplingPolicy = SINGLE_MIND) -> float:

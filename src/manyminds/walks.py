@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "WalkResult",
     "FrequencyResult",
     "SKIP",
+    "MAX_LEAVES",
     "build_tree",
     "random_walk",
     "repeated_frequency",
@@ -42,6 +44,7 @@ __all__ = [
 # repeated_frequency draws from the "tree" namespace under this scope, so no
 # tree event may take it as its id
 FREQ_SCOPE = "freq"
+MAX_LEAVES = 2**22  # every leaf path is held in memory; largest supported tree
 
 
 @dataclass(frozen=True)
@@ -111,14 +114,14 @@ class Tree:
 
 def build_tree(spec: TreeSpec) -> Tree:
     active = [e for e in spec.events if not e.skip]
-    paths: list[tuple[str, ...]] = [()]
+    if (n_leaves := math.prod(len(e.labels) for e in active)) > MAX_LEAVES:
+        raise ValueError(f"tree has {n_leaves} leaves, more than {MAX_LEAVES}")
     probs = np.array([1.0])
     for event in active:
-        paths = [p + (label,) for p in paths for label in event.labels]
         probs = np.outer(probs, np.asarray(event.probs)).ravel()
     if abs(probs.sum() - 1.0) > ATOL:
         raise ValueError(f"leaf probabilities sum to {probs.sum()}, expected 1")
-    return Tree(spec, tuple(paths), probs)
+    return Tree(spec, tuple(product(*(e.labels for e in active))), probs)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,20 @@ class TestUsageErrors:
         assert cli.main(["tree", "--spec", str(path), "--minds", "100"]) == 1
         assert "'/'" in capsys.readouterr().err
 
+    def test_oversize_tree_refused_before_allocating(self, tmp_path, capsys):
+        # 2^40 leaves: building them ran the machine out of memory
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"events": [{"probs": [0.5, 0.5]}] * 40}))
+        tracemalloc.start()
+        try:
+            status = cli.main(["tree", "--spec", str(path), "--minds", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1
+        assert f"{2**40} leaves" in capsys.readouterr().err
+        assert peak < 2**20
+
 
 class TestPhysicsFailureExit:
     def test_failed_check_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -312,6 +327,56 @@ class TestPhysicsFailureExit:
         assert status == 2
         assert load(out)["body"]["all_checks_passed"] is False
         assert "impossible" in capsys.readouterr().err
+
+
+# JSON values a report may hold: string keys; text with JSON and format
+# punctuation, control and non-ASCII characters; ints past 64 bits; nan and inf
+JSON_TEXT = st.text(st.one_of(st.sampled_from('{},"\n%:\\\u00e9\u2603'), st.characters()),
+                    max_size=6)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                         st.floats(), JSON_TEXT)
+JSON_ROWS = st.lists(JSON_TEXT, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, JSON_SCALARS)),
+                          min_size=1, max_size=5))
+JSON_LISTS = st.one_of(
+    *(st.lists(s, min_size=1, max_size=6) for s in (
+        JSON_SCALARS, JSON_TEXT, st.integers(-2**70, 2**70), st.floats(),
+        st.floats(allow_nan=False, allow_infinity=False), st.one_of(st.booleans(), st.integers()),
+        st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3))),
+    JSON_ROWS)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_LISTS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+def json_dumps_report(report):
+    return json.dumps({"header": report["header"], "body": report["body"]},
+                      indent=2, sort_keys=True) + "\n"
+
+
+class TestRenderJson:
+    @settings(max_examples=500, deadline=None)
+    @given(header=st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3), body=JSON_VALUES)
+    def test_matches_json_dumps_byte_for_byte(self, header, body):
+        report = {"header": header, "body": body, "_csv_table": []}
+        assert cli.render_json(report) == json_dumps_report(report)
+
+    def test_tree_report_never_enters_pure_python_encoder(self, tmp_path, monkeypatch):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"events": [{"probs": [1 / 3, 2 / 3]}] * 16}))
+        _, report = cli.run(cli.RunConfig(command="tree", minds=1000, spec_path=str(path)))
+        assert len(report["body"]["leaves"]) == 65536
+        want = json_dumps_report(report)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder was entered")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json_dumps_report(report)
+        assert cli.render_json(report) == want
 
 
 class TestOutputFormats:

@@ -197,7 +197,7 @@ class TestCommunication:
         run = communicate_and_check(first)
         assert isinstance(run, EprRun)
         assert run.ensembles[0].events == ("measure", "report")
-        assert run.comm_decomp is not None
+        assert run.report_checks is not None and run.record.report_consistent is True
 
     def test_deterministic_pair_is_vacuous_pass(self):
         cfg = EprConfig(RngSpec(114), policy=JOINTLY_CORRELATED, n_minds=20)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from manyminds import cli
+from manyminds import cli, walks
 from manyminds.rng import RngSpec
 from manyminds.walks import (
     SKIP,
@@ -52,6 +52,30 @@ class TestBuildTree:
         assert len(tree.paths) == 6
         assert tree.probs[tree.paths.index(("2", "1"))] == pytest.approx(0.6 * 0.3, abs=1e-12)
         assert all(len(p) == 2 for p in tree.paths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(slots=st.lists(st.one_of(st.none(), st.lists(st.floats(1e-3, 1.0), min_size=1,
+                                                        max_size=4)), max_size=6),
+           named=st.booleans())
+    def test_matches_nested_loop_reference(self, slots, named):
+        events = tuple(SKIP if ws is None else TreeEvent(
+            f"e{k}", tuple(w / sum(ws) for w in ws),
+            tuple(f"o{len(ws) - j}" for j in range(len(ws))) if named else None)
+            for k, ws in enumerate(slots))
+        # the construction build_tree had before it took paths from itertools.product
+        paths, probs = [()], np.array([1.0])
+        for event in (e for e in events if not e.skip):
+            paths = [p + (label,) for p in paths for label in event.labels]
+            probs = np.outer(probs, np.asarray(event.probs)).ravel()
+        tree = build_tree(TreeSpec(events))
+        assert tree.paths == tuple(paths)
+        assert tree.probs.tobytes() == probs.tobytes()
+
+    def test_leaf_cap(self, monkeypatch):
+        monkeypatch.setattr(walks, "MAX_LEAVES", 6)
+        assert len(build_tree(TWO_THREE_TREE).paths) == 6
+        with pytest.raises(ValueError, match="tree has 8 leaves, more than 6"):
+            build_tree(TreeSpec(tuple(TreeEvent(f"e{k}", (0.5, 0.5)) for k in range(3))))
 
     def test_duplicate_labels_rejected(self):
         # two leaves would share a path, and event_marginal would drop an outcome
