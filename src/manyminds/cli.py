@@ -41,6 +41,11 @@ COMMANDS = ("tree", "epr", "hulk", "ghz", "chsh", "enumerate")
 ENV_SEED = "MANYMINDS_SEED"
 ALPHA = 1e-4  # family-wise false-alarm rate of one report's stochastic checks
 EXACT_TOL = 1e-9
+# bytes one array of a run may take: a stream of n draws fills 8 * n bytes of
+# uniforms, and larger sizes are refused before anything is allocated
+MAX_DRAW_BYTES = 2**28
+# the RunConfig field that sets each sampling command's number of draws per stream
+_DRAWS = {"tree": "minds", "epr": "minds", "hulk": "trials", "ghz": "minds", "chsh": "trials"}
 
 
 class UsageError(ValueError):
@@ -80,6 +85,16 @@ class RunConfig:
             raise UsageError("tree needs --spec with a tree spec JSON file")
         if len(self.axes) != 4:
             raise UsageError(f"--axes needs 4 entries, got {len(self.axes)}")
+        n = self.draws
+        if 8 * n > MAX_DRAW_BYTES:
+            raise UsageError(f"--{_DRAWS[self.command]} {n} needs {8 * n:,} bytes of uniforms; "
+                             f"the budget is {MAX_DRAW_BYTES:,} bytes, "
+                             f"{MAX_DRAW_BYTES // 8:,} draws")
+
+    @property
+    def draws(self) -> int:
+        """The header's n: draws per random stream, or enumerate's 64 assignments."""
+        return getattr(self, _DRAWS[self.command]) if self.command in _DRAWS else 64
 
     @property
     def rng(self) -> RngSpec:
@@ -347,11 +362,9 @@ _RUNNERS = {
 
 
 def _header(config: RunConfig) -> dict:
-    n = {"tree": config.minds, "epr": config.minds, "ghz": config.minds,
-         "hulk": config.trials, "chsh": config.trials, "enumerate": 64}[config.command]
     return {
         "command": config.command,
-        "n": n,
+        "n": config.draws,
         "policy": config.policy,
         "schema_version": SCHEMA_VERSION,
         "seed": config.seed,

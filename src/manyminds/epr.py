@@ -274,5 +274,8 @@ def chsh_monte_carlo(a, a_prime, b, b_prime, n_per_pair: int, rng: RngSpec) -> f
         sign = np.array([(1 if s1 == "+" else -1) * (1 if s2 == "+" else -1)
                          for s1, s2 in outcomes], dtype=float)
         idx = sample_indices(rng.uniforms(n_per_pair, "chsh", k), [joint[o] for o in outcomes])
-        terms.append(float(sign[idx].mean()))
+        # one count per outcome (np.bincount would widen idx to intp first); a sum
+        # of n terms of +-1.0 is exact, so this rounds once, as sign[idx].mean() does
+        counts = [np.count_nonzero(idx == j) for j in range(len(sign))]
+        terms.append(float(sign @ counts) / n_per_pair)
     return abs(terms[0] + terms[1] + terms[2] - terms[3])

@@ -179,7 +179,7 @@ class ScenarioSample:
             raise ValueError(f"indices must have shape (n, 4), got {indices.shape}")
         if indices.size and (indices.min() < 0 or indices.max() > 3):
             raise ValueError("triple indices must lie in 0..3")
-        indices = indices.astype(np.int8)
+        indices = indices.astype(np.uint8)
         indices.flags.writeable = False
         self.indices = indices
 
@@ -190,7 +190,8 @@ class ScenarioSample:
         return isinstance(other, ScenarioSample) and np.array_equal(self.indices, other.indices)
 
     def cell_ids(self) -> np.ndarray:
-        idx = self.indices.astype(np.int64)
+        """Cell id per row as uint8; the largest, ((3*4+3)*4+3)*4+3, is 255."""
+        idx = self.indices
         return ((idx[:, 0] * 4 + idx[:, 1]) * 4 + idx[:, 2]) * 4 + idx[:, 3]
 
     def triple_counts(self, scenario: Scenario) -> np.ndarray:
@@ -315,14 +316,23 @@ def sign_flip_witness(row) -> Witness:
     return witnesses[0]
 
 
-def missing_witness_count(sample: ScenarioSample) -> int:
-    """How many sampled triples admit no flip witness (always 0)."""
-    idx = sample.indices
-    has = np.zeros(len(sample), dtype=bool)
+def _cells_with_witness() -> np.ndarray:
+    """Per cell id, whether the cell admits a flip witness."""
+    idx = all_cells()
+    has = np.zeros(len(idx), dtype=bool)
     for observer, pair in FLIP_CANDIDATES:
         o = OBSERVERS.index(observer)
         a = _SIGN_TABLE[pair[0].index - 1, o][idx[:, pair[0].index - 1]]
         b = _SIGN_TABLE[pair[1].index - 1, o][idx[:, pair[1].index - 1]]
         has |= a != b
-    return int(len(sample) - np.count_nonzero(has))
+    return has
+
+
+_HAS_WITNESS = _cells_with_witness()
+
+
+def missing_witness_count(sample: ScenarioSample) -> int:
+    """How many sampled triples admit no flip witness (always 0)."""
+    counts = np.bincount(sample.cell_ids(), minlength=256)
+    return int(counts[~_HAS_WITNESS].sum())
 

@@ -23,6 +23,10 @@ __all__ = ["RngSpec", "sample_indices"]
 _BLOCK = 4
 # joins the scope parts of a key; inside a part it would let two scopes collide
 _SEP = "\x1f"
+# last positive index up to which sample_indices counts comparisons; past it a
+# binary search is faster (1e6 draws, 2-core VM: 32 against 63 ms at 64
+# outcomes, 65 against 69 ms at 128, 103 against 78 ms at 192)
+_SCAN_MAX = 128
 
 
 def _derive_key(master_seed: int, scope: tuple) -> int:
@@ -81,9 +85,20 @@ class RngSpec:
 def sample_indices(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Map uniforms to outcome indices by inverse CDF over ``probs``.
 
-    An outcome of probability 0 is never returned. A uniform at or above the
-    last cumulative sum (possible when ``probs`` sums to slightly under 1)
-    maps onto the last outcome with positive probability.
+    The index of ``u`` is the number of cumulative sums at or below it,
+    ``sum_j (u >= cum[j])``: discrete inversion by sequential search
+    (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. III.2).
+    Counting runs only over the sums before the last positive outcome,
+    ``last``, so an outcome of probability 0 is never returned, and a
+    uniform at or above the last cumulative sum (possible when ``probs``
+    sums to slightly under 1) maps onto ``last``.
+
+    One comparison pass per outcome beats a binary search while ``last`` is
+    at most ``_SCAN_MAX``; longer rows (tree events, joint tuples) take
+    ``np.searchsorted``, clamped to ``last``, which gives the same index.
+    Either way the indices come back in the smallest unsigned dtype that
+    holds ``len(probs) - 1`` (``np.min_scalar_type``), uint8 up to 256
+    outcomes.
     """
     probs = np.asarray(probs, dtype=float)
     if np.isnan(probs).any() or (probs < 0).any():
@@ -91,5 +106,12 @@ def sample_indices(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs)
     if abs(cum[-1] - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {cum[-1]}, expected 1")
-    idx = np.searchsorted(cum, uniforms, side="right")
-    return np.minimum(idx, np.flatnonzero(probs)[-1])
+    last = int(np.flatnonzero(probs)[-1])
+    dtype = np.min_scalar_type(len(probs) - 1)
+    if last > _SCAN_MAX:
+        return np.minimum(np.searchsorted(cum, uniforms, side="right"), last).astype(dtype)
+    uniforms = np.asarray(uniforms)
+    idx = np.zeros(uniforms.shape, dtype)
+    for c in cum[:last]:
+        idx += uniforms >= c
+    return idx

@@ -314,6 +314,29 @@ class TestUsageErrors:
         assert f"{2**40} leaves" in capsys.readouterr().err
         assert peak < 2**20
 
+    @pytest.mark.parametrize("command, flag", [("ghz", "--minds"), ("hulk", "--trials"),
+                                               ("chsh", "--trials"), ("epr", "--minds"),
+                                               ("tree", "--minds")])
+    def test_oversize_draws_refused_before_allocating(self, tree_spec_path, capsys,
+                                                      command, flag):
+        # 1e12 draws: 8 TB of uniforms ran the machine out of memory
+        spec = ["--spec", tree_spec_path] if command == "tree" else []
+        tracemalloc.start()
+        try:
+            status = cli.main([command, flag, "1000000000000", *spec])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{flag} 1000000000000" in err and f"{cli.MAX_DRAW_BYTES:,} bytes" in err
+        assert peak < 2**20
+        field = flag[2:]
+        limit = cli.MAX_DRAW_BYTES // 8
+        assert cli.RunConfig(command, spec_path="t.json", **{field: limit}).draws == limit
+        with pytest.raises(cli.UsageError, match=flag):
+            cli.RunConfig(command, spec_path="t.json", **{field: limit + 1})
+
 
 class TestPhysicsFailureExit:
     def test_failed_check_exits_two(self, tmp_path, monkeypatch, capsys):

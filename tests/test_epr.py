@@ -38,7 +38,7 @@ from manyminds.quantum import (
     spin_product,
     tensor,
 )
-from manyminds.rng import RngSpec
+from manyminds.rng import RngSpec, sample_indices
 
 SIGNIFICANCE = 1e-4
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -237,6 +237,28 @@ class TestChsh:
     def test_monte_carlo_close_to_exact(self):
         est = chsh_monte_carlo(*DEFAULT_CHSH_AXES, n_per_pair=20000, rng=RngSpec(131))
         assert abs(est - 2 * math.sqrt(2)) <= 0.05
+
+    @pytest.mark.parametrize("axes", [DEFAULT_CHSH_AXES, ("z", "x", "z", "x"),
+                                      (0.0, 90.0, 45.0, -45.0), (10.0, "y", 200.0, 33.3)])
+    @pytest.mark.parametrize("n", [1, 1001, 10**5])
+    def test_monte_carlo_matches_sign_mean_reference(self, axes, n):
+        # the mean of the sampled outcome signs per axis pair, one gather per draw
+        def reference(a, a_prime, b, b_prime, n_per_pair, rng):
+            terms = []
+            for k, (ax_a, ax_b) in enumerate(((a, b), (a, b_prime), (a_prime, b),
+                                              (a_prime, b_prime))):
+                joint = branch_decompose(singlet(), {"p1": ax_a, "p2": ax_b}).joint_distribution()
+                outcomes = sorted(joint)
+                sign = np.array([(1 if s1 == "+" else -1) * (1 if s2 == "+" else -1)
+                                 for s1, s2 in outcomes], dtype=float)
+                idx = sample_indices(rng.uniforms(n_per_pair, "chsh", k),
+                                     [joint[o] for o in outcomes])
+                terms.append(float(sign[idx].mean()))
+            return abs(terms[0] + terms[1] + terms[2] - terms[3])
+
+        for seed in (0, 132):
+            rng = RngSpec(seed)
+            assert chsh_monte_carlo(*axes, n, rng) == reference(*axes, n, rng)
 
     def test_monte_carlo_rejects_zero_samples(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from manyminds import cli
+from manyminds import ghz
 from manyminds.ghz import (
     FLIP_CANDIDATES,
     OBSERVERS,
@@ -230,7 +233,11 @@ class TestCells:
     def test_256_distinct_cells_round_trip(self):
         cells = all_cells()
         assert cells.shape == (256, 4)
-        assert ScenarioSample(cells).cell_ids().tolist() == list(range(256))
+        ids = ScenarioSample(cells).cell_ids()
+        assert ids.dtype == np.uint8 and ids.tolist() == list(range(256))
+        wide = cells.astype(np.int64)
+        assert np.array_equal(
+            ids, ((wide[:, 0] * 4 + wide[:, 1]) * 4 + wide[:, 2]) * 4 + wide[:, 3])
         for row in cells:
             again = tuple(allowed_triples(scen).triples.index(t)
                           for scen, t in zip(SCENARIOS, decode(row)))
@@ -339,6 +346,25 @@ class TestSignFlips:
             per_outcome = sum(1 for row in sample.indices if not sign_flip_witnesses(row))
             by_labels = sum(1 for row in sample.indices if not label_witnesses(row))
             assert missing_witness_count(sample) == per_outcome == by_labels
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=300),
+           table=st.lists(st.booleans(), min_size=256, max_size=256))
+    def test_missing_count_matches_per_row_loop(self, rows, table):
+        sample = ScenarioSample(np.array(rows, dtype=int).reshape(-1, 4))
+        per_row = sum(1 for row in rows if not sign_flip_witnesses(row))
+        assert missing_witness_count(sample) == per_row == 0
+        # a cell table with gaps: the count is read off each row's cell id
+        table = np.array(table)
+        ids = [((a * 4 + b) * 4 + c) * 4 + d for a, b, c, d in rows]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ghz, "_HAS_WITNESS", table)
+            assert missing_witness_count(sample) == sum(1 for k in ids if not table[k])
+
+    def test_witness_table_matches_per_row_loop(self):
+        for k, row in enumerate(all_cells()):
+            found = bool(sign_flip_witnesses(row))
+            assert ghz._HAS_WITNESS[k] == found == bool(label_witnesses(row))
 
     def test_index_witnesses_match_label_reference(self):
         for row in all_cells():

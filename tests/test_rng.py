@@ -97,19 +97,27 @@ class TestSampleIndices:
             sample_indices(np.array([0.5]), probs)
 
     @settings(max_examples=200, deadline=None)
-    @given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
-                            min_size=1, max_size=8),
+    @given(weights=st.integers(1, 300).flatmap(lambda k: st.lists(
+               st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=k, max_size=k)),
            shortfall=st.floats(0.0, 1e-10),
            seed=st.integers(0, 2**32 - 1))
     def test_zero_probability_never_sampled_property(self, weights, shortfall, seed):
+        # rows of 1 to 300 outcomes straddle the cutoff between counting
+        # comparisons and the binary search
         assume(sum(weights) > 0)
         probs = np.asarray(weights) / sum(weights) * (1.0 - shortfall)
+        cum = np.cumsum(probs)
+        # the cumulative sums themselves are uniforms that tie with a boundary
         u = np.concatenate([RngSpec(seed).uniforms(200, "prop"),
-                            [0.0, 1.0 - 1e-10, np.nextafter(1.0, 0.0)]])
+                            [0.0, 1.0 - 1e-10, np.nextafter(1.0, 0.0)], cum])
         idx = sample_indices(u, probs)
+        assert idx.dtype == np.min_scalar_type(len(probs) - 1)
         assert np.all(probs[idx] > 0)
+        # the binary search, clamped to the last positive outcome
+        last = np.flatnonzero(probs)[-1]
+        assert np.array_equal(idx, np.minimum(np.searchsorted(cum, u, side="right"), last))
         # draws below the last cumulative sum keep their inverse-CDF index
-        inside = u < np.cumsum(probs)[-1]
+        inside = u < cum[-1]
         assert np.array_equal(idx[inside], sample_oracle(u[inside], probs))
 
 
