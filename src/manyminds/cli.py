@@ -41,6 +41,9 @@ COMMANDS = ("tree", "epr", "hulk", "ghz", "chsh", "enumerate")
 ENV_SEED = "MANYMINDS_SEED"
 ALPHA = 1e-4  # family-wise false-alarm rate of one report's stochastic checks
 EXACT_TOL = 1e-9
+# a Pearson chi-square check runs only when every cell or leaf of positive
+# probability expects this many counts; below it the chi-square law is no fit
+MIN_EXPECTED = 100
 # bytes one array of a run may take: a stream of n draws fills 8 * n bytes of
 # uniforms, and larger sizes are refused before anything is allocated
 MAX_DRAW_BYTES = 2**28
@@ -126,7 +129,6 @@ def _run_tree(config: RunConfig):
     tree = build_tree(load_tree_spec(config.spec_path))
     result = random_walk(tree, config.minds, config.rng)
     pvalue = chi_square_pvalue(result)
-    stat = pearson_statistic(result.counts, tree.probs * config.minds)
     columns = (list(map("/".join, tree.paths)), result.counts.tolist(), tree.probs.tolist())
     payload = {
         "walkers": config.minds,
@@ -140,9 +142,11 @@ def _run_tree(config: RunConfig):
                f"{int(result.counts.sum())} of {config.minds}"),
         _check("leaf_probabilities_normalized", abs(float(tree.probs.sum()) - 1.0) < EXACT_TOL,
                f"sum {float(tree.probs.sum())!r}"),
-        _stochastic("chi_square_fit", stat, pvalue,
-                    "Pearson chi-square of the leaf counts against the exact probabilities"),
     ]
+    if tree.probs[tree.probs > 0].min() * config.minds >= MIN_EXPECTED:
+        stat = pearson_statistic(result.counts, tree.probs * config.minds)
+        checks.append(_stochastic("chi_square_fit", stat, pvalue, "Pearson chi-square of "
+                                  "the leaf counts against the exact probabilities"))
     return payload, checks, [["leaf_path", "count", "exact_prob"], *zip(*columns)]
 
 
@@ -281,8 +285,7 @@ def _run_ghz(config: RunConfig):
         _check("witness_universality", missing == 0 and cells_without_witness == 0,
                f"{missing} sampled triples and {cells_without_witness} cells lack a flip"),
     ]
-    # at 100 expected minds per cell the chi-square law fits the statistic well
-    if config.minds >= 256 * 100:
+    if config.minds >= 256 * MIN_EXPECTED:
         stat = pearson_statistic(report.counts, [config.minds / 256] * 256)
         checks.append(_stochastic("cell_frequency_band", stat, chi_square_tail(stat, 255),
                                   "Pearson chi-square of the 256 cell counts, 255 df"))
@@ -531,44 +534,29 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"config names command {file_cfg['command']!r} "
                          f"but {args.command!r} was invoked")
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    seed, source = 0, "default"
+    settings = {"policy": "independent"} if args.command == "hulk" else {}
     if os.environ.get(ENV_SEED):
         try:
-            seed, source = int(os.environ[ENV_SEED]), "env"
+            settings.update(seed=int(os.environ[ENV_SEED]), seed_source="env")
         except ValueError:
             raise UsageError(f"{ENV_SEED} must be an integer, "
                              f"got {os.environ[ENV_SEED]!r}") from None
-    if "seed" in file_cfg:
-        seed, source = file_cfg["seed"], "config"
-    if args.seed is not None:
-        seed, source = args.seed, "flag"
+    flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    for source, values in (("config", file_cfg), ("flag", flags)):
+        settings.update(values)
+        if "seed" in values:
+            settings["seed_source"] = source
+    if "spec" in settings:
+        settings["spec_path"] = settings.pop("spec")
 
-    axes = pick(getattr(args, "axes", None), "axes", epr_mod.DEFAULT_CHSH_AXES)
-    if not isinstance(axes, (list, tuple)):
-        raise UsageError(f"--axes needs a list of 4 axes, got {axes!r}")
-    default_policy = "independent" if args.command == "hulk" else "joint"
-    return RunConfig(
-        command=args.command,
-        seed=seed,
-        seed_source=source,
-        threads=pick(args.threads, "threads", 1),
-        minds=pick(args.minds, "minds", 10000),
-        trials=pick(args.trials, "trials", 100000),
-        policy=pick(args.policy, "policy", default_policy),
-        alice_axis=_parse_axis(pick(getattr(args, "alice_axis", None), "alice_axis", "z"),
-                               "--alice-axis"),
-        bob_axis=_parse_axis(pick(getattr(args, "bob_axis", None), "bob_axis", "z"),
-                             "--bob-axis"),
-        axes=tuple(_parse_axis(x, "--axes") for x in axes),
-        spec_path=pick(getattr(args, "spec", None), "spec", None),
-        out=pick(args.out, "out", None),
-        format=pick(args.format, "format", "json"),
-    )
+    for key in ("alice_axis", "bob_axis"):
+        if key in settings:
+            settings[key] = _parse_axis(settings[key], "--" + key.replace("_", "-"))
+    if "axes" in settings:
+        if not isinstance(settings["axes"], (list, tuple)):
+            raise UsageError(f"--axes needs a list of 4 axes, got {settings['axes']!r}")
+        settings["axes"] = tuple(_parse_axis(x, "--axes") for x in settings["axes"])
+    return RunConfig(**settings)
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import prod, sqrt
 
 import numpy as np
@@ -194,6 +195,13 @@ class ScenarioSample:
         idx = self.indices
         return ((idx[:, 0] * 4 + idx[:, 1]) * 4 + idx[:, 2]) * 4 + idx[:, 3]
 
+    @cached_property
+    def cell_counts(self) -> np.ndarray:
+        """Read-only count per cell id (256 entries), computed on first use."""
+        counts = np.bincount(self.cell_ids(), minlength=256)
+        counts.flags.writeable = False
+        return counts
+
     def triple_counts(self, scenario: Scenario) -> np.ndarray:
         """Count per allowed triple (lexicographic order) in one scenario."""
         return np.bincount(self.indices[:, scenario.index - 1], minlength=4)
@@ -238,7 +246,7 @@ def simulate_scenarios(n_triples: int, rng: RngSpec) -> ScenarioSample:
 
 @dataclass(frozen=True)
 class PigeonholeReport:
-    """256-cell histogram with the frequency-floor check already applied."""
+    """256-cell histogram of a sample and its fullest cell."""
 
     n: int
     counts: np.ndarray = field(repr=False)
@@ -251,19 +259,13 @@ class PigeonholeReport:
 
 
 def pigeonhole_report(sample: ScenarioSample) -> PigeonholeReport:
-    """Histogram outcomes over the 256 cells; the fullest cell must carry
-    frequency at least 1/256 because the cells exhaust all outcomes."""
-    ids = sample.cell_ids()
-    if ids.size == 0:
+    """The sample's cell histogram and its fullest cell, whose frequency is at
+    least 1/256 because the 256 cells exhaust all outcomes."""
+    if not len(sample):
         raise ValueError("no outcomes to report on")
-    counts = np.bincount(ids, minlength=256)
-    counts.flags.writeable = False
+    counts = sample.cell_counts
     top = int(np.argmax(counts))
-    freq = Fraction(int(counts[top]), int(ids.size))
-    if freq < Fraction(1, 256):
-        raise PhysicsAssertionError(
-            f"max cell frequency {freq} < 1/256 cannot happen for 256 covering cells")
-    return PigeonholeReport(int(ids.size), counts, top, freq)
+    return PigeonholeReport(len(sample), counts, top, Fraction(int(counts[top]), len(sample)))
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,16 @@ FLIP_CANDIDATES = tuple((observer, pair) for o, observer in enumerate(OBSERVERS)
                         if pair[0].axes[o] == pair[1].axes[o])
 
 
+# observer and the two scenarios of each flip candidate, as array indices
+_OBS, _FIRST, _SECOND = np.array([(OBSERVERS.index(observer), a.index - 1, b.index - 1)
+                                  for observer, (a, b) in FLIP_CANDIDATES]).T
+# (cell id, scenario, observer): each observer's sign in each cell
+_CELL_SIGNS = _SIGN_TABLE.transpose(0, 2, 1)[np.arange(4), all_cells()]
+# _FLIPS[cell id, c]: candidate c (FLIP_CANDIDATES order) flips sign in that cell
+_FLIPS = _CELL_SIGNS[:, _FIRST, _OBS] != _CELL_SIGNS[:, _SECOND, _OBS]
+_HAS_WITNESS = _FLIPS.any(axis=1)
+
+
 def sign_flip_witnesses(row) -> tuple[Witness, ...]:
     """All candidate (observer, scenario pair) flips in one outcome row.
 
@@ -293,13 +305,9 @@ def sign_flip_witnesses(row) -> tuple[Witness, ...]:
     row = tuple(int(k) for k in row)
     if len(row) != 4 or not all(0 <= k <= 3 for k in row):
         raise ValueError(f"need one triple index in 0..3 per scenario, got {row}")
-    found = []
-    for observer, pair in FLIP_CANDIDATES:
-        o = OBSERVERS.index(observer)
-        j, k = pair[0].index - 1, pair[1].index - 1
-        if _SIGN_TABLE[j, o, row[j]] != _SIGN_TABLE[k, o, row[k]]:
-            found.append(Witness(observer, pair))
-    return tuple(found)
+    flips = _FLIPS[np.ravel_multi_index(row, (4, 4, 4, 4))]
+    return tuple(Witness(observer, pair)
+                 for (observer, pair), flip in zip(FLIP_CANDIDATES, flips) if flip)
 
 
 def sign_flip_witness(row) -> Witness:
@@ -316,23 +324,6 @@ def sign_flip_witness(row) -> Witness:
     return witnesses[0]
 
 
-def _cells_with_witness() -> np.ndarray:
-    """Per cell id, whether the cell admits a flip witness."""
-    idx = all_cells()
-    has = np.zeros(len(idx), dtype=bool)
-    for observer, pair in FLIP_CANDIDATES:
-        o = OBSERVERS.index(observer)
-        a = _SIGN_TABLE[pair[0].index - 1, o][idx[:, pair[0].index - 1]]
-        b = _SIGN_TABLE[pair[1].index - 1, o][idx[:, pair[1].index - 1]]
-        has |= a != b
-    return has
-
-
-_HAS_WITNESS = _cells_with_witness()
-
-
 def missing_witness_count(sample: ScenarioSample) -> int:
     """How many sampled triples admit no flip witness (always 0)."""
-    counts = np.bincount(sample.cell_ids(), minlength=256)
-    return int(counts[~_HAS_WITNESS].sum())
-
+    return int(sample.cell_counts[~_HAS_WITNESS].sum())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from manyminds import cli
 from manyminds import ghz
 from manyminds.rng import sample_indices
+from manyminds.walks import WalkResult, build_tree, random_walk, tree_spec_from_json
 
 
 def run_to_file(tmp_path, argv, name="report.json"):
@@ -202,6 +203,15 @@ class TestConfigResolution:
         assert status == 0
         assert load(out)["header"]["seed"] == 5
         assert load(out)["header"]["seed_source"] == "flag"
+
+    def test_config_beats_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.ENV_SEED, "123")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 17}))
+        status, out = run_to_file(tmp_path, ["enumerate", "--config", str(cfg)])
+        assert status == 0
+        header = load(out)["header"]
+        assert (header["seed"], header["seed_source"]) == (17, "config")
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -531,3 +541,48 @@ class TestStochasticChecks:
         assert status == 2
         failed = [c["name"] for c in load(out)["body"]["checks"] if not c["passed"]]
         assert failed == ["cell_frequency_band"]
+
+
+def write_tree_spec(tmp_path, events):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"events": [{"probs": p} for p in events]}))
+    return str(path)
+
+
+UNIFORM_6X3 = [[1 / 3] * 3] * 6  # 729 leaves, each expecting n / 729 walkers
+
+
+class TestTreeFitGate:
+    def test_deep_tree_below_the_gate_exits_zero(self, tmp_path):
+        # Pearson's law does not hold at 0.0023 walkers per leaf: this seed
+        # failed the fit at p < 1e-4 when the check ran on every tree
+        spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 16)
+        status, out = run_to_file(tmp_path, ["tree", "--spec", spec, "--minds", "100000",
+                                             "--seed", "189"])
+        assert status == 0
+        assert "chi_square_fit" not in [c["name"] for c in load(out)["body"]["checks"]]
+
+    @pytest.mark.parametrize("minds, checked", [(72_899, False), (72_900, False),
+                                                (72_901, True)])
+    def test_fit_runs_from_min_expected_walkers_per_leaf(self, tmp_path, minds, checked):
+        # at 72,900 walkers the smallest expectation is 99.99999999999997
+        spec = write_tree_spec(tmp_path, UNIFORM_6X3)
+        status, report = cli.run(cli.RunConfig("tree", spec_path=spec, minds=minds))
+        assert status == 0
+        names = [c["name"] for c in stochastic_checks(report["body"])]
+        assert names == (["chi_square_fit"] if checked else [])
+
+    def test_fit_detects_one_skewed_event_at_the_gate(self, tmp_path, monkeypatch):
+        skewed = build_tree(tree_spec_from_json(
+            {"events": [{"probs": [0.4, 0.3, 0.3]}] + [{"probs": p} for p in UNIFORM_6X3[1:]]}))
+
+        def skewed_walk(tree, n_walkers, rng):
+            # walk the skewed tree; the report compares against the spec's own
+            return WalkResult(tree, random_walk(skewed, n_walkers, rng).counts, n_walkers)
+
+        monkeypatch.setattr(cli, "random_walk", skewed_walk)
+        spec = write_tree_spec(tmp_path, UNIFORM_6X3)
+        status, out = run_to_file(tmp_path, ["tree", "--spec", spec, "--minds", "72901"])
+        assert status == 2
+        failed = [c["name"] for c in load(out)["body"]["checks"] if not c["passed"]]
+        assert failed == ["chi_square_fit"]

@@ -307,6 +307,26 @@ class TestPigeonhole:
         with pytest.raises(ValueError):
             pigeonhole_report(ScenarioSample(np.zeros((0, 4), dtype=int)))
 
+    def test_one_histogram_per_sample(self, monkeypatch):
+        calls, cell_ids = [], ScenarioSample.cell_ids
+
+        def counted_cell_ids(sample):
+            calls.append(sample)
+            return cell_ids(sample)
+
+        monkeypatch.setattr(ScenarioSample, "cell_ids", counted_cell_ids)
+        sample = simulate_scenarios(5000, RngSpec(60))
+        report = pigeonhole_report(sample)
+        missing = missing_witness_count(sample)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            sample.cell_counts[0] = 0
+        fresh = pigeonhole_report(simulate_scenarios(5000, RngSpec(60)))
+        assert (report.n, report.max_cell_id, report.max_frequency) == (
+            fresh.n, fresh.max_cell_id, fresh.max_frequency)
+        assert np.array_equal(report.counts, fresh.counts)
+        assert missing == missing_witness_count(simulate_scenarios(5000, RngSpec(60))) == 0
+
     def test_csv_export(self, tmp_path):
         out = tmp_path / "cells.csv"
         assert cli.main(["ghz", "--minds", "1000", "--seed", "57", "--format", "csv",
