@@ -25,6 +25,8 @@ from datetime import datetime, timezone
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import SCHEMA_VERSION, __version__
 from . import epr as epr_mod
 from . import ghz as ghz_mod
@@ -44,8 +46,9 @@ EXACT_TOL = 1e-9
 # a Pearson chi-square check runs only when every cell or leaf of positive
 # probability expects this many counts; below it the chi-square law is no fit
 MIN_EXPECTED = 100
-# bytes one array of a run may take: a stream of n draws fills 8 * n bytes of
-# uniforms, and larger sizes are refused before anything is allocated
+# sampling runs in windows of rng.CHUNK draws, so memory no longer grows with
+# n; this budget of 8 bytes per draw bounds the run length that a flag or a
+# config file may ask for, and larger sizes are refused before anything runs
 MAX_DRAW_BYTES = 2**28
 # the RunConfig field that sets each sampling command's number of draws per stream
 _DRAWS = {"tree": "minds", "epr": "minds", "hulk": "trials", "ghz": "minds", "chsh": "trials"}
@@ -128,12 +131,10 @@ def _normal(name: str, estimate: float, expected: float, se: float, detail: str)
 def _run_tree(config: RunConfig):
     tree = build_tree(load_tree_spec(config.spec_path))
     result = random_walk(tree, config.minds, config.rng)
-    pvalue = chi_square_pvalue(result)
     columns = (list(map("/".join, tree.paths)), result.counts.tolist(), tree.probs.tolist())
     payload = {
         "walkers": config.minds,
         "leaves": [{"path": p, "count": c, "exact_prob": w} for p, c, w in zip(*columns)],
-        "chi_square_pvalue": pvalue,
         "event_marginals": {e.event_id: result.event_marginal(e.event_id)
                             for e in tree.active_events},
     }
@@ -143,7 +144,9 @@ def _run_tree(config: RunConfig):
         _check("leaf_probabilities_normalized", abs(float(tree.probs.sum()) - 1.0) < EXACT_TOL,
                f"sum {float(tree.probs.sum())!r}"),
     ]
+    # below the gate the chi-square law is no fit, so no p-value is computed or printed
     if tree.probs[tree.probs > 0].min() * config.minds >= MIN_EXPECTED:
+        payload["chi_square_pvalue"] = pvalue = chi_square_pvalue(result)
         stat = pearson_statistic(result.counts, tree.probs * config.minds)
         checks.append(_stochastic("chi_square_fit", stat, pvalue, "Pearson chi-square of "
                                   "the leaf counts against the exact probabilities"))
@@ -156,13 +159,11 @@ def _run_epr(config: RunConfig):
         policy=SamplingPolicy(config.policy), n_minds=config.minds)
     exact = epr_mod.correlation(config.alice_axis, config.bob_axis)
 
-    run = epr_mod.run_epr(ecfg)
     # each wing's outcome determines the other's report only for aligned or
     # anti-aligned axes; otherwise the consistency check has no deterministic
     # target and the communication step is skipped
     reports_determined = abs(abs(exact) - 1.0) < EXACT_TOL
-    if reports_determined:
-        run = epr_mod.communicate_and_check(run)
+    run = (epr_mod.communicate_and_check if reports_determined else epr_mod.run_epr)(ecfg)
     rec = run.record
 
     rows, cols = rec.pair_labels
@@ -249,8 +250,7 @@ def _run_ghz(config: RunConfig):
     sample = ghz_mod.simulate_scenarios(config.minds, config.rng)
     report = ghz_mod.pigeonhole_report(sample)
     missing = ghz_mod.missing_witness_count(sample)
-    cells_without_witness = ghz_mod.missing_witness_count(
-        ghz_mod.ScenarioSample(ghz_mod.all_cells()))
+    cells_without_witness = ghz_mod.missing_witness_count(ghz_mod.ScenarioSample(np.ones(256, int)))
 
     payload = {
         "constraints": constraint_rows,
@@ -535,13 +535,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                          f"but {args.command!r} was invoked")
 
     settings = {"policy": "independent"} if args.command == "hulk" else {}
-    if os.environ.get(ENV_SEED):
+    flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    # the variable is read only when no flag or config sets the seed
+    if os.environ.get(ENV_SEED) and "seed" not in file_cfg and "seed" not in flags:
         try:
             settings.update(seed=int(os.environ[ENV_SEED]), seed_source="env")
         except ValueError:
             raise UsageError(f"{ENV_SEED} must be an integer, "
                              f"got {os.environ[ENV_SEED]!r}") from None
-    flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
     for source, values in (("config", file_cfg), ("flag", flags)):
         settings.update(values)
         if "seed" in values:

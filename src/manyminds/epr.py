@@ -23,10 +23,8 @@ from .minds import (
     ReportCheck,
     SamplingPolicy,
     count_off_support,
-    init_ensemble,
     marginal_for,
     mismatch_probability,
-    pair_table,
     report_correlation,
     split_joint,
     split_local,
@@ -44,7 +42,7 @@ from .quantum import (
     spin_product,
     tensor,
 )
-from .rng import RngSpec, sample_indices
+from .rng import RngSpec, code_counts, sample_indices
 
 __all__ = [
     "PARTICLES",
@@ -140,11 +138,10 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class EprRun:
-    """A completed experiment: global state, branch structure, ensembles."""
+    """A completed experiment: global state and the counts of every mind."""
 
     config: EprConfig
     state: StateVector
-    ensembles: tuple[MindEnsemble, ...]
     record: RunRecord
     report_checks: tuple[ReportCheck, ...] | None = None
 
@@ -172,70 +169,81 @@ def prepare_state(config: EprConfig, pair: StateVector | None = None) -> StateVe
     return premeasure(state, "p2", config.bob_axis, "bob")
 
 
-def _make_record(ensembles: tuple[MindEnsemble, ...], decomp: BranchDecomposition) -> RunRecord:
-    alice, bob = ensembles
-    ka, kb = alice.event_index("measure"), bob.event_index("measure")
-    rows, cols = alice.outcome_labels[ka], bob.outcome_labels[kb]
-    ia, ib = alice.assignments[ka], bob.assignments[kb]
-    table = pair_table(ia, ib, (len(rows), len(cols)))
+def _make_record(labels: tuple[tuple[str, ...], tuple[str, ...]], table: np.ndarray,
+                 decomp: BranchDecomposition) -> RunRecord:
     return RunRecord(
-        n_minds=alice.size,
-        pair_labels=(rows, cols),
+        n_minds=int(table.sum()),
+        pair_labels=labels,
         pair_counts=tuple(tuple(row) for row in table.tolist()),
-        mismatch_pairs=count_off_support(decomp, (rows, cols), ia, ib),
+        mismatch_pairs=count_off_support(decomp, labels, table),
     )
+
+
+def _count_minds(config: EprConfig, measured: BranchDecomposition,
+                 reports: BranchDecomposition | None = None) -> tuple[tuple, np.ndarray]:
+    """Labels and counts of each wing's "measure" outcome, drawn from
+    ``measured``, and with ``reports`` of the report it perceives after
+    communication: one axis per column, alice's columns first."""
+    local = {obs: marginal_for(measured, obs) for obs in OBSERVERS}
+    steps, columns = [("measure", measured, local)], [(measured, obs) for obs in OBSERVERS]
+    if reports is not None:
+        joint = conditional_distribution(reports, OBSERVERS, [f"{o}_report" for o in OBSERVERS])
+        local = {obs: {own: {r: p for (r,), p in dist.items()} for own, dist in
+                       conditional_distribution(reports, (obs,), (f"{obs}_report",)).items()}
+                 for obs in OBSERVERS}
+        steps.append(("report", {((a,), (b,)): dist for (a, b), dist in joint.items()}, local))
+        columns = [(reports, name) for obs in OBSERVERS for name in (obs, f"{obs}_report")]
+    labels = tuple(tuple(sorted(marginal_for(decomp, name))) for decomp, name in columns)
+
+    def count(start, stop):
+        ensembles = [MindEnsemble(obs, stop - start, config.rng, config.policy, first=start)
+                     for obs in OBSERVERS]
+        for event, joint_dist, by_obs in steps:
+            if config.policy is JOINTLY_CORRELATED:
+                ensembles = split_joint(ensembles, event, joint_dist)
+            else:
+                ensembles = [split_local(ens, event, by_obs[ens.observer]) for ens in ensembles]
+        return code_counts(stop - start, [c for ens in ensembles for c in ens.assignments],
+                           tuple(map(len, labels)))
+
+    n = 1 if config.policy is SINGLE_MIND else config.n_minds
+    return labels, config.rng.count_windows(n, count)
 
 
 def run_epr(config: EprConfig, pair: StateVector | None = None) -> EprRun:
     """Premeasure both wings and split each observer's minds once."""
     state = prepare_state(config, pair)
     decomp = branch_decompose(state, {"alice": None, "bob": None})
-    ensembles = [init_ensemble(obs, config.n_minds, config.rng, config.policy)
-                 for obs in OBSERVERS]
-    if config.policy is JOINTLY_CORRELATED:
-        ensembles = split_joint(ensembles, "measure", decomp)
-    else:
-        ensembles = [split_local(ens, "measure", marginal_for(decomp, ens.observer))
-                     for ens in ensembles]
-    ensembles = tuple(ensembles)
-    return EprRun(config, state, ensembles, _make_record(ensembles, decomp))
+    return EprRun(config, state, _make_record(*_count_minds(config, decomp), decomp))
 
 
 def communicate_and_check(run: EprRun | EprConfig) -> EprRun:
     """Copy each wing's pointer into the other observer's report recorder,
-    split the minds on the perceived reports, and check consistency.
+    split the minds on their outcomes and the perceived reports, check consistency.
 
     Every mind must perceive exactly the report its own outcome determines;
     for the same-axis singlet that means each "-" mind perceives a "+" report
-    from the other wing and vice versa, under either policy.
+    from the other wing and vice versa, under either policy. A completed run's
+    minds are split again from the same draws.
     """
     if isinstance(run, EprConfig):
-        run = run_epr(run)
+        run = EprRun(run, prepare_state(run), None)
     if not isinstance(run, EprRun):
         raise TypeError(f"needs a completed run or a config, got {type(run).__name__}")
 
+    measured = branch_decompose(run.state, {"alice": None, "bob": None})
     state = premeasure(run.state, "bob", None, "alice_report")
     state = premeasure(state, "alice", None, "bob_report")
     names = ("alice", "bob", "alice_report", "bob_report")
     decomp = branch_decompose(state, dict.fromkeys(names))
 
-    if run.config.policy is JOINTLY_CORRELATED:
-        cond = conditional_distribution(decomp, ("alice", "bob"),
-                                        ("alice_report", "bob_report"))
-        table = {((a,), (b,)): dist for (a, b), dist in cond.items()}
-        ensembles = tuple(split_joint(list(run.ensembles), "report", table))
-    else:
-        ensembles = []
-        for ens in run.ensembles:
-            cond = conditional_distribution(decomp, (ens.observer,),
-                                            (f"{ens.observer}_report",))
-            table = {own: {r: p for (r,), p in dist.items()} for own, dist in cond.items()}
-            ensembles.append(split_local(ens, "report", table))
-        ensembles = tuple(ensembles)
-
-    checks = tuple(report_correlation(list(ensembles), decomp, "measure", "report"))
-    record = replace(run.record, report_consistent=all(c.all_consistent for c in checks))
-    return replace(run, state=state, ensembles=ensembles, record=record, report_checks=checks)
+    labels, counts = _count_minds(run.config, measured, decomp)
+    # axes: alice, alice_report, bob, bob_report
+    record = _make_record((labels[0], labels[2]), counts.sum(axis=(1, 3)), measured)
+    checks = tuple(report_correlation(decomp, {"alice": (labels[:2], counts.sum(axis=(2, 3))),
+                                               "bob": (labels[2:], counts.sum(axis=(0, 1)))}))
+    record = replace(record, report_consistent=all(c.all_consistent for c in checks))
+    return EprRun(run.config, state, record, checks)
 
 
 def hulk_demo(trials: int, rng: RngSpec, *, policy: SamplingPolicy = SINGLE_MIND) -> float:
@@ -266,16 +274,19 @@ def chsh_monte_carlo(a, a_prime, b, b_prime, n_per_pair: int, rng: RngSpec) -> f
     """Same combination with each expectation estimated from joint samples."""
     if n_per_pair < 1:
         raise ValueError(f"n_per_pair must be >= 1, got {n_per_pair}")
-    terms = []
-    for k, (ax_a, ax_b) in enumerate(((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))):
-        decomp = branch_decompose(singlet(), {"p1": ax_a, "p2": ax_b})
-        joint = decomp.joint_distribution()
-        outcomes = sorted(joint.keys())
-        sign = np.array([(1 if s1 == "+" else -1) * (1 if s2 == "+" else -1)
-                         for s1, s2 in outcomes], dtype=float)
-        idx = sample_indices(rng.uniforms(n_per_pair, "chsh", k), [joint[o] for o in outcomes])
-        # one count per outcome (np.bincount would widen idx to intp first); a sum
-        # of n terms of +-1.0 is exact, so this rounds once, as sign[idx].mean() does
-        counts = [np.count_nonzero(idx == j) for j in range(len(sign))]
-        terms.append(float(sign @ counts) / n_per_pair)
-    return abs(terms[0] + terms[1] + terms[2] - terms[3])
+    probs = []
+    for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)):
+        joint = branch_decompose(singlet(), {"p1": x, "p2": y}).joint_distribution()
+        # outcomes (++, +-, -+, --); one that the axes exclude has weight 0
+        probs.append([joint.get(o, 0.0) for o in (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))])
+
+    def count(start, stop):
+        return code_counts(stop - start, [
+            sample_indices(rng.uniforms(stop - start, "chsh", k, start=start), p)
+            for k, p in enumerate(probs)], (4, 4, 4, 4))
+
+    counts = rng.count_windows(n_per_pair, count)
+    # a sum of n terms of +-1.0 is exact, so each term rounds once, as a mean of signs does
+    terms = [counts.sum(axis=tuple({0, 1, 2, 3} - {k})) @ [1.0, -1.0, -1.0, 1.0] / n_per_pair
+             for k in range(4)]
+    return float(abs(terms[0] + terms[1] + terms[2] - terms[3]))

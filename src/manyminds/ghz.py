@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import prod, sqrt
 
 import numpy as np
@@ -32,7 +31,7 @@ from .quantum import (
     spin_product,
     variance,
 )
-from .rng import RngSpec, sample_indices
+from .rng import RngSpec, code_counts, sample_indices
 
 __all__ = [
     "PARTICLES",
@@ -51,7 +50,6 @@ __all__ = [
     "simulate_scenarios",
     "all_cells",
     "pigeonhole_report",
-    "sign_flip_witness",
     "sign_flip_witnesses",
     "missing_witness_count",
 ]
@@ -167,44 +165,24 @@ _SIGN_TABLE = np.array(
      for scen in SCENARIOS], dtype=np.int8)  # (scenario, observer, triple index)
 
 
+@dataclass(frozen=True, eq=False)
 class ScenarioSample:
-    """n mind-triples' outcomes as an (n, 4) array of allowed-triple indices.
+    """n mind-triples' outcomes as counts over the 256 cells.
 
-    Column j holds scenario j+1's index into ``allowed_triples(...).triples``;
-    an index outside 0..3 is rejected, so a disallowed triple cannot occur.
+    The cell id of a mind-triple is base 4 over its allowed-triple index in
+    each scenario (``allowed_triples(...).triples``), scenario 1 most
+    significant; ``all_cells()[k]`` is the index row of cell id k.
     """
 
-    def __init__(self, indices: np.ndarray):
-        indices = np.asarray(indices)
-        if indices.ndim != 2 or indices.shape[1] != 4:
-            raise ValueError(f"indices must have shape (n, 4), got {indices.shape}")
-        if indices.size and (indices.min() < 0 or indices.max() > 3):
-            raise ValueError("triple indices must lie in 0..3")
-        indices = indices.astype(np.uint8)
-        indices.flags.writeable = False
-        self.indices = indices
+    cell_counts: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, ScenarioSample) and np.array_equal(self.indices, other.indices)
-
-    def cell_ids(self) -> np.ndarray:
-        """Cell id per row as uint8; the largest, ((3*4+3)*4+3)*4+3, is 255."""
-        idx = self.indices
-        return ((idx[:, 0] * 4 + idx[:, 1]) * 4 + idx[:, 2]) * 4 + idx[:, 3]
-
-    @cached_property
-    def cell_counts(self) -> np.ndarray:
-        """Read-only count per cell id (256 entries), computed on first use."""
-        counts = np.bincount(self.cell_ids(), minlength=256)
-        counts.flags.writeable = False
-        return counts
+        return int(self.cell_counts.sum())
 
     def triple_counts(self, scenario: Scenario) -> np.ndarray:
         """Count per allowed triple (lexicographic order) in one scenario."""
-        return np.bincount(self.indices[:, scenario.index - 1], minlength=4)
+        others = tuple(j for j in range(4) if j != scenario.index - 1)
+        return self.cell_counts.reshape(4, 4, 4, 4).sum(axis=others)
 
 
 def all_cells() -> np.ndarray:
@@ -226,18 +204,23 @@ def simulate_scenarios(n_triples: int, rng: RngSpec) -> ScenarioSample:
         raise ValueError(f"n_triples must be >= 1, got {n_triples}")
     state = ghz_state()
     names = state.layout.names
-    columns = []
+    probs = []
     for scen in SCENARIOS:
-        decomp = branch_decompose(state, dict(zip(names, scen.axes)))
-        dist = decomp.joint_distribution()
+        dist = branch_decompose(state, dict(zip(names, scen.axes))).joint_distribution()
         allowed = _PARTITIONS[scen].triples
         if not set(dist) <= set(allowed):
             raise PhysicsAssertionError(
                 f"{scen.name}: branch support {sorted(dist)} leaves the allowed set")
-        probs = [dist.get(t, 0.0) for t in allowed]
-        u = rng.uniforms(n_triples, "ghz", scen.index)
-        columns.append(sample_indices(u, probs))
-    return ScenarioSample(np.stack(columns, axis=1))
+        probs.append([dist.get(t, 0.0) for t in allowed])
+
+    def count(start, stop):
+        return code_counts(stop - start, [
+            sample_indices(rng.uniforms(stop - start, "ghz", scen.index, start=start), p)
+            for scen, p in zip(SCENARIOS, probs)], (4, 4, 4, 4))
+
+    counts = rng.count_windows(n_triples, count).ravel()
+    counts.flags.writeable = False
+    return ScenarioSample(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +280,14 @@ _HAS_WITNESS = _FLIPS.any(axis=1)
 
 
 def sign_flip_witnesses(row) -> tuple[Witness, ...]:
-    """All candidate (observer, scenario pair) flips in one outcome row.
+    """All candidate (observer, scenario pair) flips in one outcome row, in
+    ``FLIP_CANDIDATES`` order.
 
     ``row`` holds one allowed-triple index per scenario, like a row of
-    ``all_cells()`` or of ``ScenarioSample.indices``.
+    ``all_cells()``. Every row has at least one: if no observer flipped
+    between any same-axis scenario pair, the outcome would define fixed local
+    values satisfying all four constraints, and the 64-assignment enumeration
+    shows none exist.
     """
     row = tuple(int(k) for k in row)
     if len(row) != 4 or not all(0 <= k <= 3 for k in row):
@@ -308,20 +295,6 @@ def sign_flip_witnesses(row) -> tuple[Witness, ...]:
     flips = _FLIPS[np.ravel_multi_index(row, (4, 4, 4, 4))]
     return tuple(Witness(observer, pair)
                  for (observer, pair), flip in zip(FLIP_CANDIDATES, flips) if flip)
-
-
-def sign_flip_witness(row) -> Witness:
-    """First witness in the fixed candidate order.
-
-    Existence is guaranteed: if no observer flipped between any same-axis
-    scenario pair, the outcome would define fixed local values satisfying all
-    four constraints, and the 64-assignment enumeration shows none exist.
-    """
-    witnesses = sign_flip_witnesses(row)
-    if not witnesses:
-        raise PhysicsAssertionError(
-            f"no sign flip in {tuple(row)!r}; this contradicts the constraint table")
-    return witnesses[0]
 
 
 def missing_witness_count(sample: ScenarioSample) -> int:

@@ -14,7 +14,7 @@ histories grow. Two sampling policies are supported:
 All draws are counter-based per (mind, event): the uniform consumed by mind
 ``i`` at event ``e`` is a pure function of the master seed, the observer/event
 scope, and ``i``. Histories are therefore bit-identical across re-runs,
-evaluation orders, and worker-thread counts.
+evaluation orders, worker-thread counts and splits of a run into windows.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .quantum import ATOL, BranchDecomposition, conditional_distribution
-from .rng import RngSpec, sample_indices
+from .rng import RngSpec, code_counts, sample_indices
 
 __all__ = [
     "SamplingPolicy",
@@ -35,11 +35,9 @@ __all__ = [
     "SINGLE_MIND",
     "MindEnsemble",
     "ReportCheck",
-    "init_ensemble",
     "split_local",
     "split_joint",
     "proportions",
-    "pair_table",
     "count_off_support",
     "mismatch_probability",
     "report_correlation",
@@ -67,8 +65,8 @@ class MindEnsemble:
     """Fixed set of minds for one observer plus their branch histories.
 
     ``assignments[k][i]`` is mind i's outcome index at event k, indexing into
-    ``outcome_labels[k]``. The mind population is fixed at construction; every
-    split returns a new ensemble with one more event column.
+    ``outcome_labels[k]``; mind i draws counter ``first + i`` (``first`` starts a
+    4-draw Philox block). Every split returns a new ensemble with one more event column.
     """
 
     observer: str
@@ -78,6 +76,7 @@ class MindEnsemble:
     events: tuple[str, ...] = ()
     outcome_labels: tuple[tuple[str, ...], ...] = ()
     assignments: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    first: int = 0
 
     def __post_init__(self):
         if self.size < 1:
@@ -116,16 +115,6 @@ class MindEnsemble:
     def history(self, index: int) -> tuple[str, ...]:
         return tuple(self.outcome_labels[k][self.assignments[k][index]]
                      for k in range(len(self.events)))
-
-
-def init_ensemble(observer: str, n: int, rng: RngSpec,
-                  policy: SamplingPolicy = INDEPENDENT_LOCAL) -> MindEnsemble:
-    """Fresh ensemble with empty histories; single-mind policies force n to 1."""
-    if n < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {n}")
-    if policy is SINGLE_MIND:
-        n = 1
-    return MindEnsemble(observer, n, rng, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +186,8 @@ def split_local(ensemble: MindEnsemble, event_id: str, probs: Mapping) -> MindEn
         raise ValueError(f"{context}: mixed unconditional and conditional keys")
     rows = probs.values() if conditional else (probs,)
     labels = tuple(sorted({o for dist in rows for o in dist}))
-    u = ensemble.rng.uniforms(ensemble.size, "local", ensemble.observer, event_id)
+    u = ensemble.rng.uniforms(ensemble.size, "local", ensemble.observer, event_id,
+                              start=ensemble.first)
     chosen = _draw(u, probs, labels, context, [ensemble] if conditional else None)
     return _extend(ensemble, event_id, labels, chosen)
 
@@ -214,16 +204,15 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
     """
     if not ensembles:
         raise ValueError("split_joint needs at least one ensemble")
-    n = ensembles[0].size
-    rng = ensembles[0].rng
+    n, rng, first = ensembles[0].size, ensembles[0].rng, ensembles[0].first
     for ens in ensembles:
         if ens.policy is not JOINTLY_CORRELATED:
             raise ValueError(f"policy mismatch: {ens.observer!r} is {ens.policy.value}, "
                              "split_joint requires jointly-correlated ensembles")
         if ens.size != n:
             raise ValueError(f"size mismatch: {ens.observer!r} has {ens.size} minds, expected {n}")
-        if ens.rng != rng:
-            raise ValueError(f"rng mismatch: {ens.observer!r} uses a different stream spec")
+        if (ens.rng, ens.first) != (rng, first):
+            raise ValueError(f"rng mismatch: {ens.observer!r} differs in stream or first mind id")
 
     order = [ens.observer for ens in ensembles]
     if isinstance(dist, BranchDecomposition):
@@ -242,7 +231,7 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
     if any(len(t) != len(ensembles) for t in tuples):
         raise ValueError(f"joint outcomes must have one label for each of {len(ensembles)} "
                          "observers")
-    chosen = _draw(rng.uniforms(n, "joint", event_id), dist, tuples,
+    chosen = _draw(rng.uniforms(n, "joint", event_id, start=first), dist, tuples,
                    f"split_joint({event_id!r})", keyed_by)
 
     out = []
@@ -265,13 +254,6 @@ def proportions(ensemble: MindEnsemble, event_id: str) -> dict[str, Fraction]:
             for label, c in zip(ensemble.outcome_labels[k], counts)}
 
 
-def pair_table(ia: np.ndarray, ib: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Contingency table of two index columns: ``[i, j]`` counts where ia is i and ib is j."""
-    rows, cols = shape
-    flat = np.bincount(ia.astype(np.int64) * cols + ib, minlength=rows * cols)
-    return flat.reshape(rows, cols)
-
-
 # ---------------------------------------------------------------------------
 # Mindless-hulk mismatch and report consistency
 
@@ -280,38 +262,42 @@ def mismatch_probability(policy: SamplingPolicy, decomp: BranchDecomposition,
                          trials: int, rng: RngSpec) -> float:
     """Fraction of trials whose two minds occupy outcomes from different branches.
 
-    Trial i pairs mind i of each observer's ``trials``-mind ensemble. Under
-    the single-mind independent-local policy each observer's mind samples
-    from its local marginal, so the pair can land on an outcome combination
-    that belongs to no branch of the joint state: a brain then exhibits a
-    record that no mind of the other observer is tracking. Under the
-    jointly-correlated policy the pair is one joint draw and the mismatch
-    count is zero by construction (still counted, not assumed).
+    Trial i pairs mind i of each observer. Under the single-mind
+    independent-local policy each observer's mind samples from its local
+    marginal, so the pair can land on an outcome combination that belongs to
+    no branch of the joint state: a brain then exhibits a record that no mind
+    of the other observer is tracking. Under the jointly-correlated policy
+    the pair is one joint draw and the mismatch count is zero by
+    construction (still counted, not assumed).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if len(decomp.subsystems) != 2:
         raise ValueError("mismatch probability is defined for two observers")
-    minds = [MindEnsemble(obs, trials, rng, policy) for obs in decomp.subsystems]
-    if policy is JOINTLY_CORRELATED:
-        a, b = split_joint(minds, "mismatch", decomp)
-    elif policy is not SINGLE_MIND:
+    if policy not in (JOINTLY_CORRELATED, SINGLE_MIND):
         raise ValueError("independent-local mismatch trials require the single-mind policy "
                          "(one mind per observer per trial)")
-    else:
-        a, b = (split_local(ens, "mismatch", marginal_for(decomp, ens.observer))
-                for ens in minds)
-    labels = (a.outcome_labels[0], b.outcome_labels[0])
-    return count_off_support(decomp, labels, a.assignments[0], b.assignments[0]) / trials
+    local = {obs: marginal_for(decomp, obs) for obs in decomp.subsystems}
+    labels = [tuple(sorted(local[obs])) for obs in decomp.subsystems]
+
+    def count(start, stop):
+        pair = [MindEnsemble(obs, stop - start, rng, policy, first=start) for obs in local]
+        if policy is JOINTLY_CORRELATED:
+            pair = split_joint(pair, "mismatch", decomp)
+        else:
+            pair = [split_local(ens, "mismatch", local[ens.observer]) for ens in pair]
+        return code_counts(stop - start, [ens.assignments[0] for ens in pair],
+                           tuple(map(len, labels)))
+
+    return count_off_support(decomp, labels, rng.count_windows(trials, count)) / trials
 
 
 def count_off_support(decomp: BranchDecomposition,
-                      labels: tuple[Sequence[str], Sequence[str]],
-                      ia: np.ndarray, ib: np.ndarray) -> int:
-    """How many pairs (labels[0][ia[i]], labels[1][ib[i]]) are not a branch of
-    the two-subsystem ``decomp``, i.e. pair minds that track different branches."""
+                      labels: tuple[Sequence[str], Sequence[str]], table: np.ndarray) -> int:
+    """How many pairs of a contingency ``table`` (rows ``labels[0]``, columns
+    ``labels[1]``) are not a branch of the two-subsystem ``decomp``, i.e. pair
+    minds that track different branches."""
     support = set(decomp.joint_distribution())
-    table = pair_table(ia, ib, (len(labels[0]), len(labels[1])))
     return sum(int(c) for (i, j), c in np.ndenumerate(table)
                if (labels[0][i], labels[1][j]) not in support)
 
@@ -341,26 +327,21 @@ class ReportCheck:
         return self.consistent == self.size
 
 
-def report_correlation(ensembles: list[MindEnsemble], decomp: BranchDecomposition,
-                       measure_event: str, report_event: str) -> list[ReportCheck]:
+def report_correlation(decomp: BranchDecomposition, tables: Mapping) -> list[ReportCheck]:
     """Check minds-to-reports consistency after a communication step.
 
-    For each observer, the post-communication decomposition must pair the
+    ``tables`` maps each observer to ``(labels, table)``, where ``table[i, j]``
+    counts its minds with own outcome ``labels[0][i]`` that perceive report
+    ``labels[1][j]``. The post-communication decomposition must pair the
     observer's own outcome with a unique perceived report of the other wing,
-    held in the subsystem named ``<observer>_report``;
-    every mind is then required to carry exactly that report in its history.
+    held in the subsystem named ``<observer>_report``; every mind is then
+    required to carry exactly that report.
     """
     checks = []
-    for ens in ensembles:
-        if report_event not in ens.events:
-            raise ValueError(f"communication step missing: {ens.observer!r} has no "
-                             f"{report_event!r} event")
-        cond = _deterministic_report_map(decomp, ens.observer, f"{ens.observer}_report")
-        k_own, k_seen = ens.event_index(measure_event), ens.event_index(report_event)
-        own_labels, seen_labels = ens.outcome_labels[k_own], ens.outcome_labels[k_seen]
-        # table[i, j]: minds with own outcome i that perceive report j
-        table = pair_table(ens.assignments[k_own], ens.assignments[k_seen],
-                           (len(own_labels), len(seen_labels)))
+    for observer, ((own_labels, seen_labels), table) in tables.items():
+        if f"{observer}_report" not in decomp.subsystems:
+            raise ValueError(f"communication step missing: no {observer}_report recorder")
+        cond = _deterministic_report_map(decomp, observer, f"{observer}_report")
         consistent = 0
         observed: dict[str, dict[str, int]] = {}
         for own, row in zip(own_labels, table.tolist()):
@@ -371,7 +352,7 @@ def report_correlation(ensembles: list[MindEnsemble], decomp: BranchDecompositio
             observed[own] = {seen: c for seen, c in zip(seen_labels, row) if c}
             if cond[own] in seen_labels:
                 consistent += row[seen_labels.index(cond[own])]
-        checks.append(ReportCheck(ens.observer, ens.size, consistent, cond, observed))
+        checks.append(ReportCheck(observer, int(table.sum()), consistent, cond, observed))
     return checks
 
 

@@ -5,22 +5,27 @@ generator whose 128-bit key is derived from a master seed plus a string scope
 (observer name, event id, ...). Value ``i`` of a stream is a pure function of
 ``(master_seed, scope, i)``, so the draw for mind/walker/trial ``i`` never
 depends on how many values were generated before it, in what order, or on how
-many worker threads produced the block. Re-running with the same seed and the
-same scopes is bit-identical.
+many worker threads produced them. Re-running with the same seed and the
+same scopes is bit-identical, and a run can be counted window by window.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngSpec", "sample_indices"]
+__all__ = ["CHUNK", "RngSpec", "code_counts", "sample_indices"]
 
-# Philox.advance(k) skips 4k doubles; chunk boundaries must sit on 4-draw blocks.
+# Philox.advance(k) skips 4k doubles; window starts must sit on 4-draw blocks.
 _BLOCK = 4
+# draws per window, a multiple of _BLOCK; 2**16 to 2**20 drew 1e6 and 4e6
+# uniforms as fast as one whole array (2-core VM, 1 and 2 threads)
+CHUNK = 2**18
+
 # joins the scope parts of a key; inside a part it would let two scopes collide
 _SEP = "\x1f"
 # last positive index up to which sample_indices counts comparisons; past it a
@@ -42,9 +47,9 @@ def _derive_key(master_seed: int, scope: tuple) -> int:
 class RngSpec:
     """Master seed plus a per-scope stream derivation rule.
 
-    ``threads`` is the number of chunks a large block of uniforms is split
-    into; at most ``os.cpu_count()`` workers fill them. It never affects the
-    values produced.
+    ``threads`` is the number of workers that count the windows of a run
+    (``count_windows``), at most ``os.cpu_count()``. The window grid is fixed
+    by ``CHUNK``, so ``threads`` never changes the values drawn or the counts.
     """
 
     master_seed: int
@@ -60,26 +65,45 @@ class RngSpec:
         """Fresh generator for a scope; position i in it belongs to counter i."""
         return np.random.Generator(np.random.Philox(key=_derive_key(self.master_seed, scope)))
 
-    def uniforms(self, n: int, *scope) -> np.ndarray:
-        """n uniforms in [0, 1); entry i is the draw for counter (mind, walker, trial) i."""
+    def uniforms(self, n: int, *scope, start: int = 0) -> np.ndarray:
+        """n uniforms in [0, 1); entry i is the draw for counter (mind, walker,
+        trial) ``start + i``. ``start`` must be a multiple of the 4-draw Philox block."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        out = np.empty(n)
-        per = n  # chunk length; chunk starts sit on Philox block boundaries
-        if self.threads > 1 and n >= 4 * _BLOCK * self.threads:
-            per = -(-n // (_BLOCK * self.threads)) * _BLOCK
+        if start < 0 or start % _BLOCK:
+            raise ValueError(f"start must be a non-negative multiple of {_BLOCK}, got {start}")
+        gen = self.stream(*scope)
+        gen.bit_generator.advance(start // _BLOCK)
+        return gen.random(n)
 
-        def fill(start):
-            gen = self.stream(*scope)
-            gen.bit_generator.advance(start // _BLOCK)
-            gen.random(out=out[start:start + per])
+    def count_windows(self, n: int, count):
+        """Sum of the int64 counts ``count(start, stop)`` over the windows of
+        the grid ``range(0, n, CHUNK)``, added in place. Each of the
+        ``min(threads, os.cpu_count())`` workers counts every workers-th window,
+        so memory is bounded by ``CHUNK`` and no count depends on ``threads``."""
+        windows = range(0, n, CHUNK)
+        workers = min(self.threads, os.cpu_count() or 1, len(windows))
 
-        if per == n:
-            fill(0)
-        else:
-            with ThreadPoolExecutor(max_workers=min(self.threads, os.cpu_count() or 1)) as pool:
-                list(pool.map(fill, range(0, n, per)))
-        return out
+        def total(first: int):
+            counts = count(windows[first], min(windows[first] + CHUNK, n))
+            for start in windows[first + workers::workers]:
+                counts += count(start, min(start + CHUNK, n))
+            return counts
+
+        if workers == 1:
+            return total(0)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return sum(pool.map(total, range(workers)))
+
+
+def code_counts(size: int, columns, shape: tuple) -> np.ndarray:
+    """Counts of the ``size`` rows of index columns, an array of ``shape`` with one
+    axis per column, through one mixed-radix code in the smallest type that holds
+    the product of ``shape``, so that every radix fits in it as well."""
+    code = np.zeros(size, np.min_scalar_type(math.prod(shape)))
+    for column, radix in zip(columns, shape):
+        code = code * radix + column
+    return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
 
 def sample_indices(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .quantum import ATOL
-from .rng import RngSpec, sample_indices
+from .rng import RngSpec, code_counts, sample_indices
 
 __all__ = [
     "TreeEvent",
@@ -156,12 +156,13 @@ def random_walk(tree: Tree, n_walkers: int, rng: RngSpec) -> WalkResult:
     if n_walkers < 1:
         raise ValueError(f"n_walkers must be >= 1, got {n_walkers}")
     active = tree.active_events
-    leaf = np.zeros(n_walkers, dtype=np.int64)
-    for event in active:
-        u = rng.uniforms(n_walkers, "tree", event.event_id)
-        leaf = leaf * len(event.probs) + sample_indices(u, event.probs)
-    counts = np.bincount(leaf, minlength=len(tree.paths))
-    return WalkResult(tree, counts, n_walkers)
+
+    def count(start, stop):
+        return code_counts(stop - start, [
+            sample_indices(rng.uniforms(stop - start, "tree", e.event_id, start=start), e.probs)
+            for e in active], tuple(len(e.probs) for e in active))
+
+    return WalkResult(tree, rng.count_windows(n_walkers, count).ravel(), n_walkers)
 
 
 def chi_square_pvalue(result: WalkResult) -> float:

@@ -100,6 +100,16 @@ class TestCommands:
                                      "sampled_triples_without_witness": 0}
         assert body["constraints"]["XXX"]["expectation"] == pytest.approx(-1.0, abs=1e-9)
 
+    def test_ghz_counts_every_cell_without_a_witness(self, tmp_path, monkeypatch):
+        # a witness table with gaps: the body counts each cell that has none, once
+        table = np.ones(256, bool)
+        table[[0, 17, 255]] = False
+        monkeypatch.setattr(ghz, "_HAS_WITNESS", table)
+        status, out = run_to_file(tmp_path, ["ghz", "--minds", "3000", "--seed", "7"])
+        body = load(out)["body"]
+        assert body["witnesses"]["cells_without_witness"] == 3
+        assert status != 0 and not body["all_checks_passed"]
+
     def test_chsh(self, tmp_path):
         status, out = run_to_file(tmp_path, ["chsh", "--trials", "20000", "--seed", "9"])
         assert status == 0
@@ -254,6 +264,26 @@ class TestUsageErrors:
     def test_bad_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.ENV_SEED, "not-a-number")
         assert cli.main(["enumerate"]) == 1
+
+    @pytest.mark.parametrize("argv, config, status, source", [
+        (["enumerate", "--seed", "5"], None, 0, "flag"),
+        (["enumerate"], {"seed": 17}, 0, "config"),
+        (["enumerate"], None, 1, None),
+    ])
+    def test_bad_env_seed_read_only_without_another_seed(self, tmp_path, monkeypatch, capsys,
+                                                         argv, config, status, source):
+        # a flag or config seed wins, so the variable is never parsed
+        monkeypatch.setenv(cli.ENV_SEED, "abc")
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        got, out = run_to_file(tmp_path, argv)
+        assert got == status
+        if source is None:
+            assert cli.ENV_SEED in capsys.readouterr().err
+        else:
+            assert load(out)["header"]["seed_source"] == source
 
     def test_tree_event_id_freq_rejected(self, tmp_path, capsys):
         # "freq" would share repeated_frequency's stream in the "tree" namespace
@@ -479,9 +509,11 @@ def stochastic_checks(body):
 def skewed_scenarios(n_triples, rng):
     """The GHZ sampler with the first XXX triple at weight 0.26 instead of 1/4."""
     probs = {1: [0.26] + [0.74 / 3] * 3}
-    columns = [sample_indices(rng.uniforms(n_triples, "ghz", scen.index),
-                              probs.get(scen.index, [0.25] * 4)) for scen in ghz.SCENARIOS]
-    return ghz.ScenarioSample(np.stack(columns, axis=1))
+    cell = np.zeros(n_triples, dtype=np.int64)
+    for scen in ghz.SCENARIOS:
+        cell = cell * 4 + sample_indices(rng.uniforms(n_triples, "ghz", scen.index),
+                                         probs.get(scen.index, [0.25] * 4))
+    return ghz.ScenarioSample(np.bincount(cell, minlength=256))
 
 
 class TestStochasticChecks:
@@ -553,14 +585,21 @@ UNIFORM_6X3 = [[1 / 3] * 3] * 6  # 729 leaves, each expecting n / 729 walkers
 
 
 class TestTreeFitGate:
-    def test_deep_tree_below_the_gate_exits_zero(self, tmp_path):
+    def test_deep_tree_below_the_gate_exits_zero(self, tmp_path, monkeypatch):
         # Pearson's law does not hold at 0.0023 walkers per leaf: this seed
-        # failed the fit at p < 1e-4 when the check ran on every tree
+        # failed the fit at p < 1e-4 when the check ran on every tree, and its
+        # p-value, 6.23e-06, read as a failed fit in the body
+        def never(result):
+            raise AssertionError("chi_square_pvalue computed below the gate")
+
+        monkeypatch.setattr(cli, "chi_square_pvalue", never)
         spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 16)
         status, out = run_to_file(tmp_path, ["tree", "--spec", spec, "--minds", "100000",
                                              "--seed", "189"])
         assert status == 0
-        assert "chi_square_fit" not in [c["name"] for c in load(out)["body"]["checks"]]
+        body = load(out)["body"]
+        assert "chi_square_fit" not in [c["name"] for c in body["checks"]]
+        assert "chi_square_pvalue" not in body
 
     @pytest.mark.parametrize("minds, checked", [(72_899, False), (72_900, False),
                                                 (72_901, True)])
@@ -571,6 +610,8 @@ class TestTreeFitGate:
         assert status == 0
         names = [c["name"] for c in stochastic_checks(report["body"])]
         assert names == (["chi_square_fit"] if checked else [])
+        # the body prints the p-value only where the fit is checked
+        assert ("chi_square_pvalue" in report["body"]) == checked
 
     def test_fit_detects_one_skewed_event_at_the_gate(self, tmp_path, monkeypatch):
         skewed = build_tree(tree_spec_from_json(

@@ -1,6 +1,7 @@
 """Singlet runs: anti-correlation, mismatch demo, reports, CHSH."""
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,13 +33,14 @@ from manyminds.minds import (
 from manyminds.quantum import (
     Branch,
     BranchDecomposition,
+    PreconditionError,
     branch_decompose,
     expectation,
     make_qubit_state,
     spin_product,
     tensor,
 )
-from manyminds.rng import RngSpec, sample_indices
+from manyminds.rng import RngSpec, code_counts, sample_indices
 
 SIGNIFICANCE = 1e-4
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -157,7 +159,10 @@ class TestRunEpr:
             for obs, k in (("alice", ka), ("bob", kb)))
         labels = tuple(ens.outcome_labels[0][0] for ens in ensembles)
         decomp = BranchDecomposition(("alice", "bob"), ("z", "z"), (Branch(labels, 1.0, 1.0),))
-        got = _make_record(ensembles, decomp).proportions
+        alice, bob = ensembles
+        table = code_counts(n, [alice.assignments[0], bob.assignments[0]], (ka, kb))
+        got = _make_record((alice.outcome_labels[0], bob.outcome_labels[0]), table,
+                           decomp).proportions
         assert got == {ens.observer: proportions(ens, "measure") for ens in ensembles}
         assert all(type(f) is Fraction for props in got.values() for f in props.values())
 
@@ -196,8 +201,13 @@ class TestCommunication:
         first = run_epr(cfg)
         run = communicate_and_check(first)
         assert isinstance(run, EprRun)
-        assert run.ensembles[0].events == ("measure", "report")
+        # the run's minds are split again from the same draws, so the counts agree
+        assert run.record == communicate_and_check(cfg).record
+        assert replace(run.record, report_consistent=None) == first.record
         assert run.report_checks is not None and run.record.report_consistent is True
+        # its report recorders are written, so it cannot communicate again
+        with pytest.raises(PreconditionError, match="ready state"):
+            communicate_and_check(run)
 
     def test_deterministic_pair_is_vacuous_pass(self):
         cfg = EprConfig(RngSpec(114), policy=JOINTLY_CORRELATED, n_minds=20)

@@ -22,13 +22,12 @@ from manyminds.ghz import (
     ghz_state,
     missing_witness_count,
     pigeonhole_report,
-    sign_flip_witness,
     sign_flip_witnesses,
     simulate_scenarios,
     verify_constraints,
 )
 from manyminds.quantum import branch_decompose, make_qubit_state, tensor
-from manyminds.rng import RngSpec
+from manyminds.rng import RngSpec, sample_indices
 
 SIGNIFICANCE = 1e-4
 
@@ -62,6 +61,25 @@ def label_witnesses(row):
 
 def band(p, n, sigmas=4):
     return sigmas * math.sqrt(p * (1 - p) / n)
+
+
+def sample_of(rows):
+    """A sample counting each index row at its position in ``all_cells()``."""
+    ids = {tuple(row): k for k, row in enumerate(all_cells().tolist())}
+    return ScenarioSample(np.bincount([ids[tuple(map(int, row))] for row in rows],
+                                      minlength=256))
+
+
+def index_rows(n, rng):
+    """Each mind-triple's allowed-triple index per scenario, drawn from the
+    streams ``simulate_scenarios`` reads, one whole column per scenario."""
+    columns = []
+    for scen in SCENARIOS:
+        dist = branch_decompose(ghz_state(), dict(zip(ghz.PARTICLES, scen.axes))
+                                ).joint_distribution()
+        probs = [dist.get(t, 0.0) for t in allowed_triples(scen).triples]
+        columns.append(sample_indices(rng.uniforms(n, "ghz", scen.index), probs))
+    return np.stack(columns, axis=1)
 
 
 def gf2_solution_count(constraint_ids):
@@ -206,14 +224,17 @@ class TestEnumeration:
 class TestCells:
     def test_example_cell_witnesses_and_id(self):
         assert decode(EXAMPLE_ROW) == EXAMPLE_CELL_TRIPLES
-        assert ScenarioSample([EXAMPLE_ROW]).cell_ids().tolist() == [EXAMPLE_CELL_ID]
+        sample = sample_of([EXAMPLE_ROW])
+        assert np.flatnonzero(sample.cell_counts).tolist() == [EXAMPLE_CELL_ID]
         assert EXAMPLE_CELL_ID == 172
         assert tuple(all_cells()[EXAMPLE_CELL_ID]) == EXAMPLE_ROW
+        # triple_counts reads the row back, scenario 1 as the most significant digit
+        assert tuple(int(np.argmax(sample.triple_counts(s))) for s in SCENARIOS) == EXAMPLE_ROW
         witnesses = sign_flip_witnesses(EXAMPLE_ROW)
         pairs = {(w.observer, w.scenarios) for w in witnesses}
         assert ("bob", (Scenario.XXX, Scenario.YXY)) in pairs
         assert ("carol", (Scenario.XYY, Scenario.YXY)) in pairs
-        first = sign_flip_witness(EXAMPLE_ROW)
+        first = witnesses[0]
         assert (first.observer, first.scenarios) == ("alice", (Scenario.YXY, Scenario.YYX))
 
     def test_disallowed_triple_rejected(self):
@@ -221,33 +242,34 @@ class TestCells:
         assert ("+", "+", "+") not in allowed_triples(Scenario.XXX).triples
         for bad in (4, -1, 260):
             with pytest.raises(ValueError, match="0..3"):
-                ScenarioSample([(bad,) + EXAMPLE_ROW[1:]])
-            with pytest.raises(ValueError, match="0..3"):
                 sign_flip_witnesses((bad,) + EXAMPLE_ROW[1:])
 
     def test_cells_differ_when_one_scenario_differs(self):
         other = (EXAMPLE_ROW[0], 3) + EXAMPLE_ROW[2:]
-        ids = ScenarioSample([EXAMPLE_ROW, other]).cell_ids()
-        assert ids[0] != ids[1]
+        sample = sample_of([EXAMPLE_ROW, other])
+        assert np.count_nonzero(sample.cell_counts) == 2
+        assert sample.triple_counts(Scenario.XYY).tolist() == [0, 0, 1, 1]
+        assert sample.triple_counts(Scenario.XXX).tolist() == [0, 0, 2, 0]
 
     def test_256_distinct_cells_round_trip(self):
         cells = all_cells()
         assert cells.shape == (256, 4)
-        ids = ScenarioSample(cells).cell_ids()
-        assert ids.dtype == np.uint8 and ids.tolist() == list(range(256))
         wide = cells.astype(np.int64)
-        assert np.array_equal(
-            ids, ((wide[:, 0] * 4 + wide[:, 1]) * 4 + wide[:, 2]) * 4 + wide[:, 3])
+        ids = ((wide[:, 0] * 4 + wide[:, 1]) * 4 + wide[:, 2]) * 4 + wide[:, 3]
+        assert ids.tolist() == list(range(256))
         for row in cells:
             again = tuple(allowed_triples(scen).triples.index(t)
                           for scen, t in zip(SCENARIOS, decode(row)))
             assert again == tuple(row)
+        # the sampler counts each mind-triple in the cell whose row is its index row
+        for n in (1, 1001):
+            want = sample_of(index_rows(n, RngSpec(53)))
+            got = simulate_scenarios(n, RngSpec(53))
+            assert np.array_equal(got.cell_counts, want.cell_counts) and len(got) == n
 
     def test_id_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            ScenarioSample(np.zeros((2, 3), dtype=int))
-        with pytest.raises(ValueError, match="shape"):
-            ScenarioSample(np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="per scenario"):
+            sign_flip_witnesses(EXAMPLE_ROW + (0,))
         with pytest.raises(ValueError, match="per scenario"):
             sign_flip_witnesses(EXAMPLE_ROW[:3])
 
@@ -268,19 +290,19 @@ class TestSimulation:
             for obs in ("alice", "bob", "carol"):
                 plus = np.array([t[OBSERVERS.index(obs)] == "+"
                                  for t in allowed_triples(scen).triples])
-                fraction = float(np.mean(plus[sample.indices[:, scen.index - 1]]))
+                fraction = int(sample.triple_counts(scen) @ plus) / len(sample)
                 assert abs(fraction - 0.5) <= band(0.5, 50000)
 
     def test_scenario_draws_independent(self):
         sample = simulate_scenarios(40000, RngSpec(54))
-        table = np.zeros((4, 4), dtype=int)
-        np.add.at(table, (sample.indices[:, 0], sample.indices[:, 1]), 1)
+        # scenario 1's triple index against scenario 2's
+        table = sample.cell_counts.reshape(4, 4, 4, 4).sum(axis=(2, 3))
         assert stats.chi2_contingency(table).pvalue > SIGNIFICANCE
 
     def test_deterministic(self):
         a = simulate_scenarios(1000, RngSpec(55))
         b = simulate_scenarios(1000, RngSpec(55))
-        assert a == b
+        assert np.array_equal(a.cell_counts, b.cell_counts)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -299,26 +321,20 @@ class TestPigeonhole:
             assert abs(int(report.counts[cell_id]) / n - p) <= tol
 
     def test_single_outcome(self):
-        report = pigeonhole_report(ScenarioSample([EXAMPLE_ROW]))
+        report = pigeonhole_report(sample_of([EXAMPLE_ROW]))
         assert report.max_frequency == 1
         assert report.max_cell_id == EXAMPLE_CELL_ID
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pigeonhole_report(ScenarioSample(np.zeros((0, 4), dtype=int)))
+            pigeonhole_report(ScenarioSample(np.zeros(256, dtype=int)))
 
-    def test_one_histogram_per_sample(self, monkeypatch):
-        calls, cell_ids = [], ScenarioSample.cell_ids
-
-        def counted_cell_ids(sample):
-            calls.append(sample)
-            return cell_ids(sample)
-
-        monkeypatch.setattr(ScenarioSample, "cell_ids", counted_cell_ids)
+    def test_one_histogram_per_sample(self):
+        # the sample is its histogram: the report holds the sample's own counts
         sample = simulate_scenarios(5000, RngSpec(60))
         report = pigeonhole_report(sample)
         missing = missing_witness_count(sample)
-        assert len(calls) == 1
+        assert report.counts is sample.cell_counts
         with pytest.raises(ValueError, match="read-only"):
             sample.cell_counts[0] = 0
         fresh = pigeonhole_report(simulate_scenarios(5000, RngSpec(60)))
@@ -343,7 +359,7 @@ class TestSignFlips:
             assert pair[0].axes[idx] == pair[1].axes[idx]
 
     def test_candidate_order(self):
-        # sign_flip_witness returns the first witness in this order
+        # sign_flip_witnesses lists the witnesses of a row in this order
         assert FLIP_CANDIDATES == (
             ("alice", (Scenario.XXX, Scenario.XYY)),
             ("alice", (Scenario.YXY, Scenario.YYX)),
@@ -362,16 +378,17 @@ class TestSignFlips:
         assert missing_witness_count(sample) == 0
 
     def test_vectorized_agrees_with_per_outcome(self):
-        for sample in (ScenarioSample(all_cells()), simulate_scenarios(200, RngSpec(59))):
-            per_outcome = sum(1 for row in sample.indices if not sign_flip_witnesses(row))
-            by_labels = sum(1 for row in sample.indices if not label_witnesses(row))
-            assert missing_witness_count(sample) == per_outcome == by_labels
+        for rows in (all_cells(), index_rows(200, RngSpec(59))):
+            per_outcome = sum(1 for row in rows if not sign_flip_witnesses(row))
+            by_labels = sum(1 for row in rows if not label_witnesses(row))
+            assert missing_witness_count(sample_of(rows)) == per_outcome == by_labels
+        assert missing_witness_count(simulate_scenarios(200, RngSpec(59))) == 0
 
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=300),
            table=st.lists(st.booleans(), min_size=256, max_size=256))
     def test_missing_count_matches_per_row_loop(self, rows, table):
-        sample = ScenarioSample(np.array(rows, dtype=int).reshape(-1, 4))
+        sample = sample_of(rows)
         per_row = sum(1 for row in rows if not sign_flip_witnesses(row))
         assert missing_witness_count(sample) == per_row == 0
         # a cell table with gaps: the count is read off each row's cell id
@@ -392,7 +409,7 @@ class TestSignFlips:
             assert found == label_witnesses(row)
 
     def test_witness_table_covers_all_cells(self):
-        rows = [sign_flip_witness(row) for row in all_cells()]
+        rows = [sign_flip_witnesses(row)[0] for row in all_cells()]
         assert len(rows) == 256
         for w in rows:
             assert w.observer in ("alice", "bob", "carol")

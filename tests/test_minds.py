@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from manyminds.epr import EprConfig, run_epr
 from manyminds.minds import (
     INDEPENDENT_LOCAL,
     JOINTLY_CORRELATED,
@@ -17,17 +18,15 @@ from manyminds.minds import (
     MindEnsemble,
     SamplingPolicy,
     count_off_support,
-    init_ensemble,
     marginal_for,
     mismatch_probability,
-    pair_table,
     proportions,
     report_correlation,
     split_joint,
     split_local,
 )
 from manyminds.quantum import Branch, BranchDecomposition, conditional_distribution
-from manyminds.rng import RngSpec, sample_indices
+from manyminds.rng import RngSpec, code_counts, sample_indices
 
 SIGNIFICANCE = 1e-4
 
@@ -88,6 +87,18 @@ def label_report_checks(ensembles, d, measure_event, report_event):
             row[r] = row.get(r, 0) + 1
         out.append((ens.observer, ens.size, consistent, expected, observed))
     return out
+
+
+def report_checks(ensembles, d):
+    """report_correlation over each ensemble's (own outcome, perceived report) table."""
+    tables = {}
+    for ens in ensembles:
+        own, seen = ens.event_index("measure"), ens.event_index("report")
+        labels = (ens.outcome_labels[own], ens.outcome_labels[seen])
+        table = code_counts(ens.size, [ens.assignments[own], ens.assignments[seen]],
+                            tuple(map(len, labels)))
+        tables[ens.observer] = (labels, table)
+    return report_correlation(d, tables)
 
 
 def as_tuples(checks):
@@ -186,47 +197,34 @@ class TestSamplingPolicy:
         assert SamplingPolicy("independent/single-mind") is SINGLE_MIND
 
 
-class TestPairTable:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
-           n=st.integers(1, 300))
-    def test_matches_counter(self, data, rows, cols, n):
-        ia = np.asarray(data.draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)),
-                        dtype=np.int16)
-        ib = np.asarray(data.draw(st.lists(st.integers(0, cols - 1), min_size=n, max_size=n)),
-                        dtype=np.int16)
-        table = pair_table(ia, ib, (rows, cols))
-        seen = Counter(zip(ia.tolist(), ib.tolist()))
-        assert table.shape == (rows, cols)
-        assert table.tolist() == [[seen[i, j] for j in range(cols)] for i in range(rows)]
-
-
 class TestInit:
     def test_population_and_ids(self):
-        ens = init_ensemble("alice", 5, RngSpec(1))
+        ens = MindEnsemble("alice", 5, RngSpec(1))
         assert ens.size == 5
         assert ens.events == ()
         assert ens.assignments == ()
 
     def test_single_mind_forces_one(self):
-        assert init_ensemble("alice", 500, RngSpec(1), SINGLE_MIND).size == 1
+        # a single-mind run gives each observer one mind, whatever n_minds says
+        config = EprConfig(RngSpec(1), policy=SINGLE_MIND, n_minds=500)
+        assert run_epr(config).record.n_minds == 1
 
     def test_zero_minds_rejected(self):
         with pytest.raises(ValueError):
-            init_ensemble("alice", 0, RngSpec(1))
+            MindEnsemble("alice", 0, RngSpec(1))
 
 
 class TestSplitLocal:
     def test_proportions_within_binomial_band(self):
         n = 20000
-        ens = split_local(init_ensemble("alice", n, RngSpec(8)), "m",
+        ens = split_local(MindEnsemble("alice", n, RngSpec(8)), "m",
                           {"+": 0.36, "-": 0.64})
         props = proportions(ens, "m")
         assert sum(props.values()) == Fraction(1)
         assert abs(float(props["+"]) - 0.36) <= band(0.36, n)
 
     def test_identity_persists_across_splits(self):
-        ens = init_ensemble("alice", 50, RngSpec(2))
+        ens = MindEnsemble("alice", 50, RngSpec(2))
         ens = split_local(ens, "a", {"H": 0.5, "T": 0.5})
         ens = split_local(ens, "b", {"0": 0.5, "1": 0.5})
         assert ens.size == 50
@@ -235,7 +233,7 @@ class TestSplitLocal:
 
     def test_deterministic_per_seed_and_observer(self):
         def run(observer, seed):
-            ens = split_local(init_ensemble(observer, 200, RngSpec(seed)), "m",
+            ens = split_local(MindEnsemble(observer, 200, RngSpec(seed)), "m",
                               {"+": 0.5, "-": 0.5})
             return ens.assignments[0]
 
@@ -244,12 +242,12 @@ class TestSplitLocal:
         assert not np.array_equal(run("alice", 4), run("alice", 5))
 
     def test_zero_weight_outcome_gets_no_minds(self):
-        ens = split_local(init_ensemble("a", 5000, RngSpec(3)), "m",
+        ens = split_local(MindEnsemble("a", 5000, RngSpec(3)), "m",
                           {"x": 0.0, "y": 1.0})
         assert proportions(ens, "m") == {"x": Fraction(0), "y": Fraction(1)}
 
     def test_conditional_split_follows_history(self):
-        ens = split_local(init_ensemble("a", 400, RngSpec(6)), "first",
+        ens = split_local(MindEnsemble("a", 400, RngSpec(6)), "first",
                           {"H": 0.5, "T": 0.5})
         ens = split_local(ens, "second", {
             ("H",): {"h2": 1.0},
@@ -261,7 +259,7 @@ class TestSplitLocal:
 
     def test_sequential_split_product_rule(self):
         n = 30000
-        ens = split_local(init_ensemble("a", n, RngSpec(12)), "u", {"a": 1 / 3, "b": 2 / 3})
+        ens = split_local(MindEnsemble("a", n, RngSpec(12)), "u", {"a": 1 / 3, "b": 2 / 3})
         ens = split_local(ens, "v", {"x": 0.5, "y": 0.5})
         counts = Counter(ens.history(i) for i in range(n))
         keys = sorted(counts)
@@ -274,27 +272,27 @@ class TestSplitLocal:
     def test_cross_observer_independence(self):
         n = 20000
         rng = RngSpec(9)
-        alice = split_local(init_ensemble("alice", n, rng), "m", {"+": 0.5, "-": 0.5})
-        bob = split_local(init_ensemble("bob", n, rng), "m", {"+": 0.5, "-": 0.5})
+        alice = split_local(MindEnsemble("alice", n, rng), "m", {"+": 0.5, "-": 0.5})
+        bob = split_local(MindEnsemble("bob", n, rng), "m", {"+": 0.5, "-": 0.5})
         table = np.zeros((2, 2), dtype=int)
         np.add.at(table, (alice.assignments[0], bob.assignments[0]), 1)
         res = stats.chi2_contingency(table)
         assert res.pvalue > SIGNIFICANCE
 
     def test_event_reuse_rejected(self):
-        ens = split_local(init_ensemble("a", 4, RngSpec(1)), "m", {"+": 0.5, "-": 0.5})
+        ens = split_local(MindEnsemble("a", 4, RngSpec(1)), "m", {"+": 0.5, "-": 0.5})
         with pytest.raises(ValueError):
             split_local(ens, "m", {"+": 0.5, "-": 0.5})
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            split_local(init_ensemble("a", 4, RngSpec(1)), "m", {"+": 0.6, "-": 0.3})
+            split_local(MindEnsemble("a", 4, RngSpec(1)), "m", {"+": 0.6, "-": 0.3})
 
     def test_too_many_outcomes_rejected(self):
         # int16 columns would wrap a 40,000-outcome split to negative indices
         probs = {f"o{i:05d}": 1 / 40000 for i in range(40000)}
         with pytest.raises(ValueError, match="int16"):
-            split_local(init_ensemble("a", 4, RngSpec(1)), "m", probs)
+            split_local(MindEnsemble("a", 4, RngSpec(1)), "m", probs)
 
     def test_outcome_count_limit_is_int16_max(self):
         def ensemble(k):
@@ -315,7 +313,7 @@ class TestSplitLocal:
                          assignments=(np.array(column),))
 
     def test_missing_conditional_history_rejected(self):
-        ens = split_local(init_ensemble("a", 100, RngSpec(1)), "m", {"+": 0.5, "-": 0.5})
+        ens = split_local(MindEnsemble("a", 100, RngSpec(1)), "m", {"+": 0.5, "-": 0.5})
         with pytest.raises(KeyError):
             split_local(ens, "n", {("+",): {"x": 1.0}})
 
@@ -338,7 +336,7 @@ class TestSplitLocal:
         assert len(hists) == 5
 
     def test_unsorted_row_with_zero_weight_matches_label_reference(self):
-        ens = init_ensemble("a", 5000, RngSpec(61))
+        ens = MindEnsemble("a", 5000, RngSpec(61))
         probs = {"z": 0.3, "a": 0.0, "m": 0.7}
         got = last_column(split_local(ens, "m", probs))
         assert same_column(got, label_split_local(ens, "m", probs))
@@ -346,7 +344,7 @@ class TestSplitLocal:
         assert 0 not in got[1]
 
     def test_conditional_rows_with_different_keys_match_label_reference(self):
-        ens = split_local(init_ensemble("a", 6000, RngSpec(62)), "first",
+        ens = split_local(MindEnsemble("a", 6000, RngSpec(62)), "first",
                           {"H": 0.5, "T": 0.3, "E": 0.2})
         table = {("H",): {"y": 0.75, "x": 0.25},
                  ("T",): {"z": 0.5, "y": 0.5},
@@ -360,7 +358,7 @@ class TestSplitJoint:
     def test_anticorrelated_pairs(self):
         n = 20000
         rng = RngSpec(21)
-        ens = [init_ensemble(o, n, rng, JOINTLY_CORRELATED) for o in ("alice", "bob")]
+        ens = [MindEnsemble(o, n, rng, JOINTLY_CORRELATED) for o in ("alice", "bob")]
         alice, bob = split_joint(ens, "m", SINGLET_Z)
         a_out, b_out = alice.outcomes("m"), bob.outcomes("m")
         assert all(x != y for x, y in zip(a_out, b_out))
@@ -369,14 +367,14 @@ class TestSplitJoint:
     def test_decomposition_subsystem_order_is_respected(self):
         d = decomp(("alice", "bob"), {("+", "-"): 1.0})
         rng = RngSpec(1)
-        ens = [init_ensemble(o, 10, rng, JOINTLY_CORRELATED) for o in ("bob", "alice")]
+        ens = [MindEnsemble(o, 10, rng, JOINTLY_CORRELATED) for o in ("bob", "alice")]
         bob, alice = split_joint(ens, "m", d)
         assert set(alice.outcomes("m")) == {"+"}
         assert set(bob.outcomes("m")) == {"-"}
 
     def test_conditional_joint_split(self):
         rng = RngSpec(17)
-        ens = [init_ensemble(o, 300, rng, JOINTLY_CORRELATED) for o in ("alice", "bob")]
+        ens = [MindEnsemble(o, 300, rng, JOINTLY_CORRELATED) for o in ("alice", "bob")]
         ens = split_joint(ens, "m", SINGLET_Z)
         ens = split_joint(ens, "swap", {
             (("+",), ("-",)): {("-", "+"): 1.0},
@@ -389,27 +387,45 @@ class TestSplitJoint:
 
     def test_policy_enforced(self):
         rng = RngSpec(1)
-        ens = [init_ensemble("alice", 4, rng, JOINTLY_CORRELATED),
-               init_ensemble("bob", 4, rng, INDEPENDENT_LOCAL)]
+        ens = [MindEnsemble("alice", 4, rng, JOINTLY_CORRELATED),
+               MindEnsemble("bob", 4, rng, INDEPENDENT_LOCAL)]
         with pytest.raises(ValueError, match="policy"):
             split_joint(ens, "m", SINGLET_Z)
 
     def test_size_and_rng_must_match(self):
         rng = RngSpec(1)
         with pytest.raises(ValueError, match="size"):
-            split_joint([init_ensemble("a", 4, rng, JOINTLY_CORRELATED),
-                         init_ensemble("b", 5, rng, JOINTLY_CORRELATED)], "m", SINGLET_Z)
+            split_joint([MindEnsemble("a", 4, rng, JOINTLY_CORRELATED),
+                         MindEnsemble("b", 5, rng, JOINTLY_CORRELATED)], "m", SINGLET_Z)
         with pytest.raises(ValueError, match="rng"):
-            split_joint([init_ensemble("alice", 4, rng, JOINTLY_CORRELATED),
-                         init_ensemble("bob", 4, RngSpec(2), JOINTLY_CORRELATED)],
+            split_joint([MindEnsemble("alice", 4, rng, JOINTLY_CORRELATED),
+                         MindEnsemble("bob", 4, RngSpec(2), JOINTLY_CORRELATED)],
                         "m", SINGLET_Z)
+        # minds 0..3 of alice cannot pair with minds 4..7 of bob
+        with pytest.raises(ValueError, match="first mind id"):
+            split_joint([MindEnsemble("alice", 4, rng, JOINTLY_CORRELATED),
+                         MindEnsemble("bob", 4, rng, JOINTLY_CORRELATED, first=4)],
+                        "m", SINGLET_Z)
+
+    def test_window_ensembles_draw_their_own_counters(self):
+        # minds 8..11 of a 12-mind ensemble are the ensemble of 4 minds from id 8
+        rng, probs = RngSpec(9), {"+": 0.3, "-": 0.7}
+        whole = split_local(MindEnsemble("a", 12, rng), "m", probs)
+        window = split_local(MindEnsemble("a", 4, rng, first=8), "m", probs)
+        assert np.array_equal(window.assignments[0], whole.assignments[0][8:])
+        joint = split_joint([MindEnsemble(o, 12, rng, JOINTLY_CORRELATED) for o in "ab"],
+                            "m", SKEWED)
+        part = split_joint([MindEnsemble(o, 4, rng, JOINTLY_CORRELATED, first=8) for o in "ab"],
+                           "m", SKEWED)
+        for w, p in zip(joint, part):
+            assert np.array_equal(p.assignments[0], w.assignments[0][8:])
 
     def test_joint_distribution_marginal(self):
         assert marginal_for(SINGLET_Z, "alice") == {"+": 0.5, "-": 0.5}
 
     def test_reversed_subsystem_order_matches_label_reference(self):
         rng = RngSpec(63)
-        ens = [init_ensemble(o, 6000, rng, JOINTLY_CORRELATED) for o in ("b", "a")]
+        ens = [MindEnsemble(o, 6000, rng, JOINTLY_CORRELATED) for o in ("b", "a")]
         got = [last_column(e) for e in split_joint(ens, "m", SKEWED)]
         want = label_split_joint(ens, "m", SKEWED)
         assert all(same_column(g, w) for g, w in zip(got, want))
@@ -417,7 +433,7 @@ class TestSplitJoint:
 
     def test_nondeterministic_conditional_rows_match_label_reference(self):
         rng = RngSpec(64)
-        ens = [init_ensemble(o, 6000, rng, JOINTLY_CORRELATED) for o in ("a", "b")]
+        ens = [MindEnsemble(o, 6000, rng, JOINTLY_CORRELATED) for o in ("a", "b")]
         ens = split_joint(ens, "m", SKEWED)
         table = {
             (("x",), ("u",)): {("p", "q"): 0.5, ("q", "p"): 0.25, ("p", "p"): 0.25},
@@ -461,7 +477,7 @@ class TestMismatch:
         rng = RngSpec(34).stream("pairs")
         ia = rng.integers(0, len(labels[0]), 3000)
         ib = rng.integers(0, len(labels[1]), 3000)
-        got = count_off_support(d, labels, ia, ib)
+        got = count_off_support(d, labels, code_counts(len(ia), [ia, ib], tuple(map(len, labels))))
         assert got == label_off_support(d, labels, ia, ib)
         assert 0 < got < 3000
 
@@ -484,7 +500,7 @@ POST_COMM = decomp(
 class TestReportCorrelation:
     def _ensembles(self, n, seed):
         rng = RngSpec(seed)
-        ens = [init_ensemble(o, n, rng, JOINTLY_CORRELATED) for o in ("alice", "bob")]
+        ens = [MindEnsemble(o, n, rng, JOINTLY_CORRELATED) for o in ("alice", "bob")]
         ens = split_joint(ens, "measure", SINGLET_Z)
         return split_joint(ens, "report", {
             (("+",), ("-",)): {("-", "+"): 1.0},
@@ -493,15 +509,14 @@ class TestReportCorrelation:
 
     def _local_ensembles(self, n, seed):
         rng = RngSpec(seed)
-        ens = [split_local(init_ensemble(o, n, rng), "measure", {"+": 0.5, "-": 0.5})
+        ens = [split_local(MindEnsemble(o, n, rng), "measure", {"+": 0.5, "-": 0.5})
                for o in ("alice", "bob")]
         # each report follows the own outcome 9 times in 10, so some minds disagree
         table = {("+",): {"-": 0.9, "+": 0.1}, ("-",): {"+": 0.9, "-": 0.1}}
         return [split_local(e, "report", table) for e in ens]
 
     def test_all_minds_consistent(self):
-        checks = report_correlation(self._ensembles(500, 41), POST_COMM,
-                                    "measure", "report")
+        checks = report_checks(self._ensembles(500, 41), POST_COMM)
         assert [c.observer for c in checks] == ["alice", "bob"]
         for c in checks:
             assert c.all_consistent
@@ -510,7 +525,7 @@ class TestReportCorrelation:
 
     def test_matches_label_reference(self):
         for ens in (self._ensembles(500, 43), self._local_ensembles(500, 44)):
-            checks = report_correlation(ens, POST_COMM, "measure", "report")
+            checks = report_checks(ens, POST_COMM)
             assert as_tuples(checks) == label_report_checks(ens, POST_COMM, "measure", "report")
 
     def test_corrupted_history_detected(self):
@@ -519,7 +534,7 @@ class TestReportCorrelation:
         bad = cols[1].copy()
         bad[0] = 1 - bad[0]
         alice_bad = replace(alice, assignments=tuple(cols[:1]) + (bad,))
-        checks = report_correlation([alice_bad, bob], POST_COMM, "measure", "report")
+        checks = report_checks([alice_bad, bob], POST_COMM)
         assert not checks[0].all_consistent
         assert checks[0].consistent == 9
         assert as_tuples(checks) == label_report_checks([alice_bad, bob], POST_COMM,
@@ -528,11 +543,11 @@ class TestReportCorrelation:
     def test_unmapped_outcome_raises_like_reference(self):
         # a measured outcome with no entry in the report map cannot be judged
         rng = RngSpec(45)
-        ens = [init_ensemble(o, 20, rng) for o in ("alice", "bob")]
+        ens = [MindEnsemble(o, 20, rng) for o in ("alice", "bob")]
         ens = [split_local(e, "measure", {"+": 0.5, "0": 0.5}) for e in ens]
         ens = [split_local(e, "report", {"+": 0.5, "-": 0.5}) for e in ens]
         with pytest.raises(KeyError, match="'0'"):
-            report_correlation(ens, POST_COMM, "measure", "report")
+            report_checks(ens, POST_COMM)
         with pytest.raises(KeyError, match="'0'"):
             label_report_checks(ens, POST_COMM, "measure", "report")
 
@@ -540,17 +555,16 @@ class TestReportCorrelation:
         fuzzy = decomp(("alice", "alice_report"),
                        {("+", "+"): 0.25, ("+", "-"): 0.25, ("-", "+"): 0.5})
         rng = RngSpec(1)
-        ens = [init_ensemble("alice", 8, rng, JOINTLY_CORRELATED)]
+        ens = [MindEnsemble("alice", 8, rng, JOINTLY_CORRELATED)]
         coin = decomp(("alice",), {("+",): 0.5, ("-",): 0.5})
         ens = split_joint(ens, "measure", coin)
         ens = split_joint(ens, "report", coin)
         with pytest.raises(ValueError, match="not determined"):
-            report_correlation(ens, fuzzy, "measure", "report")
+            report_checks(ens, fuzzy)
 
     def test_missing_report_event(self):
-        rng = RngSpec(1)
-        ens = [init_ensemble("alice", 4, rng, JOINTLY_CORRELATED)]
-        ens = split_joint(ens, "measure", decomp(("alice",), {("+",): 0.5, ("-",): 0.5}))
+        # before communication the decomposition holds no report recorder to check against
+        table = np.array([[0, 2], [2, 0]])
         with pytest.raises(ValueError, match="missing"):
-            report_correlation(ens, POST_COMM, "measure", "report")
+            report_correlation(SINGLET_Z, {"alice": ((("+", "-"), ("+", "-")), table)})
 

@@ -1,5 +1,7 @@
 """Counter-based stream determinism and inverse-CDF sampling."""
 import sys
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manyminds import rng as rng_mod
-from manyminds.rng import RngSpec, sample_indices
+from manyminds.rng import RngSpec, code_counts, sample_indices
 
 
 def sample_oracle(u, probs):
@@ -23,6 +25,22 @@ def sample_oracle(u, probs):
                 break
         out.append(pick)
     return np.asarray(out)
+
+
+def placed_draws(spec, n, *scope):
+    """A count function for ``count_windows``: the window's draws, as int64
+    bit patterns, at their own counters of an n-long array of zeros. The sum
+    over windows is the whole stream's bit patterns only if every window is
+    counted exactly once."""
+    def count(start, stop):
+        out = np.zeros(n, np.int64)
+        out[start:stop] = spec.uniforms(stop - start, *scope, start=start).view(np.int64)
+        return out
+    return count
+
+
+def stream_bits(spec, n, *scope):
+    return spec.stream(*scope).random(n).view(np.int64)
 
 
 class TestRngSpec:
@@ -43,12 +61,28 @@ class TestRngSpec:
         short = spec.uniforms(20, "walk", 3)
         assert np.array_equal(long[:20], short)
 
+    @pytest.mark.parametrize("start", [0, 4, 12, 1000])
+    def test_window_starts_at_its_counter(self, start):
+        spec = RngSpec(7)
+        whole = spec.uniforms(start + 50, "walk", 3)
+        assert np.array_equal(spec.uniforms(50, "walk", 3, start=start), whole[start:])
+
+    @pytest.mark.parametrize("start", [-4, 2, 13])
+    def test_window_start_off_the_philox_block_rejected(self, start):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            RngSpec(7).uniforms(8, "walk", start=start)
+
     @pytest.mark.parametrize("n", [1, 3, 16, 47, 48, 101, 1024, 5000])
     @pytest.mark.parametrize("threads", [2, 3, 7])
-    def test_thread_count_never_changes_values(self, n, threads):
-        single = RngSpec(99, threads=1).uniforms(n, "scope", n)
-        multi = RngSpec(99, threads=threads).uniforms(n, "scope", n)
-        assert np.array_equal(single, multi)
+    def test_thread_count_never_changes_values(self, monkeypatch, n, threads):
+        # windows of 16 draws, so n = 5000 spreads over 313 windows and 7 workers
+        monkeypatch.setattr(rng_mod, "CHUNK", 16)
+        monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: 8)
+        single = RngSpec(99, threads=1)
+        multi = RngSpec(99, threads=threads)
+        got = multi.count_windows(n, placed_draws(multi, n, "scope", n))
+        assert np.array_equal(got, single.count_windows(n, placed_draws(single, n, "scope", n)))
+        assert np.array_equal(got, stream_bits(single, n, "scope", n))
 
     def test_stream_matches_uniforms(self):
         spec = RngSpec(5)
@@ -121,6 +155,35 @@ class TestSampleIndices:
         assert np.array_equal(idx[inside], sample_oracle(u[inside], probs))
 
 
+class TestCodeCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=st.lists(st.integers(1, 70), max_size=3),
+           n=st.integers(0, 300), minds_columns=st.booleans())
+    def test_matches_counter(self, data, shape, n, minds_columns):
+        # sampled columns take their smallest unsigned type, ensemble columns int16;
+        # up to 70**3 cells, the code itself goes from uint8 to uint32
+        columns = [np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+                              dtype=np.int16 if minds_columns else np.min_scalar_type(k - 1))
+                   for k in shape]
+        table = code_counts(n, columns, tuple(shape))
+        seen = Counter(zip(*(c.tolist() for c in columns))) if shape else Counter({(): n})
+        assert table.shape == tuple(shape) and int(table.sum()) == n
+        cells = (np.unravel_index(k, table.shape) for k in np.flatnonzero(table))
+        assert {tuple(map(int, c)): int(table[c]) for c in cells} == +seen
+
+    @pytest.mark.parametrize("shape", [(256,), (1, 256), (256, 1), (65536,), (1, 1, 65536),
+                                       (16, 16), (255,)])
+    def test_radix_as_large_as_the_product(self, shape):
+        # the code type must hold every radix, not only the largest code
+        rng = np.random.default_rng(5)
+        columns = [rng.integers(0, k, 3000).astype(np.min_scalar_type(k - 1)) for k in shape]
+        code = np.zeros(3000, np.int64)
+        for column, radix in zip(columns, shape):
+            code = code * radix + column
+        want = np.bincount(code, minlength=math.prod(shape)).reshape(shape)
+        assert np.array_equal(code_counts(3000, columns, shape), want)
+
+
 class TestLimits:
     def test_separator_inside_scope_part_rejected(self):
         # ("a\x1fb",) would derive the same key as ("a", "b")
@@ -139,19 +202,32 @@ class TestLimits:
 
         monkeypatch.setattr(rng_mod, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: cpus)
-        values = RngSpec(99, threads=threads).uniforms(5000, "cap")
-        assert seen == [workers]
-        assert np.array_equal(values, RngSpec(99).uniforms(5000, "cap"))
+        monkeypatch.setattr(rng_mod, "CHUNK", 64)
+        spec = RngSpec(99, threads=threads)
+        values = spec.count_windows(5000, placed_draws(spec, 5000, "cap"))
+        # one worker counts the windows inline, with no pool
+        assert seen == ([workers] if workers > 1 else [])
+        assert np.array_equal(values, stream_bits(RngSpec(99), 5000, "cap"))
 
     def test_more_workers_than_cores_fill_one_buffer(self, monkeypatch):
-        # every worker writes its own slice of the shared output; a lost or
-        # misplaced chunk would show as a value differing from the one stream
+        # each worker adds its windows into its own total and the totals are
+        # summed; a lost, repeated or misplaced window would show as a value
+        # differing from the one stream
         monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(rng_mod, "CHUNK", 512)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n in (1001, 100_003):
-                got = RngSpec(7, threads=8).uniforms(n, "stress", n)
-                assert np.array_equal(got, RngSpec(7).stream("stress", n).random(n))
+                spec, starts = RngSpec(7, threads=8), []
+                count = placed_draws(spec, n, "stress", n)
+
+                def recorded(start, stop):
+                    starts.append(start)
+                    return count(start, stop)
+
+                got = spec.count_windows(n, recorded)
+                assert np.array_equal(got, stream_bits(spec, n, "stress", n))
+                assert sorted(starts) == list(range(0, n, 512))
         finally:
             sys.setswitchinterval(interval)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from manyminds import cli, walks
-from manyminds.rng import RngSpec
+from manyminds import rng as rng_mod
+from manyminds.rng import RngSpec, sample_indices
 from manyminds.walks import (
     SKIP,
     Tree,
@@ -144,6 +145,20 @@ class TestRandomWalk:
             for path, c in zip(res.tree.paths, res.counts):
                 want[path[pos]] += int(c) / res.total
             assert list(res.event_marginal(event.event_id).items()) == list(want.items())
+
+    @pytest.mark.parametrize("sizes", [(256,), (1, 256), (256, 3)])
+    def test_wide_events_match_the_int64_leaf_code(self, monkeypatch, sizes):
+        # one leaf code in int64 over whole streams, as the walk was counted before windows
+        monkeypatch.setattr(rng_mod, "CHUNK", 64)
+        spec = TreeSpec(tuple(TreeEvent(f"w{j}", tuple(np.full(k, 1 / k))) for j, k in
+                              enumerate(sizes)))
+        rng, n = RngSpec(21), 1001
+        leaf = np.zeros(n, np.int64)
+        for event in spec.events:
+            u = rng.uniforms(n, "tree", event.event_id)
+            leaf = leaf * len(event.probs) + sample_indices(u, event.probs)
+        want = np.bincount(leaf, minlength=math.prod(sizes))
+        assert np.array_equal(random_walk(build_tree(spec), n, rng).counts, want)
 
     def test_walk_rejects_zero_walkers(self):
         with pytest.raises(ValueError):
