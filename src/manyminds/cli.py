@@ -46,10 +46,10 @@ EXACT_TOL = 1e-9
 # a Pearson chi-square check runs only when every cell or leaf of positive
 # probability expects this many counts; below it the chi-square law is no fit
 MIN_EXPECTED = 100
-# sampling runs in windows of rng.CHUNK draws, so memory no longer grows with
-# n; this budget of 8 bytes per draw bounds the run length that a flag or a
-# config file may ask for, and larger sizes are refused before anything runs
-MAX_DRAW_BYTES = 2**28
+# draws per random stream that a flag or a config file may ask for; memory does
+# not grow with a run (it is counted in windows of rng.CHUNK draws), so this
+# bounds only its length, and longer runs are refused before anything runs
+MAX_DRAWS = 2**25
 # the RunConfig field that sets each sampling command's number of draws per stream
 _DRAWS = {"tree": "minds", "epr": "minds", "hulk": "trials", "ghz": "minds", "chsh": "trials"}
 
@@ -92,10 +92,9 @@ class RunConfig:
         if len(self.axes) != 4:
             raise UsageError(f"--axes needs 4 entries, got {len(self.axes)}")
         n = self.draws
-        if 8 * n > MAX_DRAW_BYTES:
-            raise UsageError(f"--{_DRAWS[self.command]} {n} needs {8 * n:,} bytes of uniforms; "
-                             f"the budget is {MAX_DRAW_BYTES:,} bytes, "
-                             f"{MAX_DRAW_BYTES // 8:,} draws")
+        if n > MAX_DRAWS:
+            raise UsageError(f"--{_DRAWS[self.command]} {n} asks for {n:,} draws per stream; "
+                             f"a run has at most {MAX_DRAWS:,} draws")
 
     @property
     def draws(self) -> int:

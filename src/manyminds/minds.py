@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .quantum import ATOL, BranchDecomposition, conditional_distribution
+from .quantum import BranchDecomposition, conditional_distribution
 from .rng import RngSpec, code_counts, sample_indices
 
 __all__ = [
@@ -57,16 +57,15 @@ JOINTLY_CORRELATED = SamplingPolicy.JOINTLY_CORRELATED
 SINGLE_MIND = SamplingPolicy.SINGLE_MIND
 
 
-MAX_OUTCOMES = int(np.iinfo(np.int16).max)  # outcomes per event that an int16 column indexes
-
-
 @dataclass(frozen=True)
 class MindEnsemble:
     """Fixed set of minds for one observer plus their branch histories.
 
     ``assignments[k][i]`` is mind i's outcome index at event k, indexing into
-    ``outcome_labels[k]``; mind i draws counter ``first + i`` (``first`` starts a
-    4-draw Philox block). Every split returns a new ensemble with one more event column.
+    ``outcome_labels[k]``, in a read-only column of the smallest unsigned type
+    that holds every index; mind i draws counter ``first + i`` (``first`` starts
+    a 4-draw Philox block). Every split returns a new ensemble with one more
+    event column.
     """
 
     observer: str
@@ -85,17 +84,14 @@ class MindEnsemble:
             raise ValueError("events, outcome_labels and assignments must align")
         frozen = []
         for event, labels, arr in zip(self.events, self.outcome_labels, self.assignments):
-            if len(labels) > MAX_OUTCOMES:
-                raise ValueError(f"event {event!r} has {len(labels)} outcomes; int16 "
-                                 f"assignment columns hold at most {MAX_OUTCOMES}")
             arr = np.asarray(arr)
             if arr.shape != (self.size,):
                 raise ValueError("each assignment column must have one entry per mind")
-            # checked before the int16 cast, which would wrap 65,537 to 1
             if arr.min() < 0 or arr.max() >= len(labels):
                 raise ValueError(f"event {event!r}: outcome indices must lie in "
                                  f"0..{len(labels) - 1}")
-            arr = arr.astype(np.int16)
+            # a copy, so that freezing it leaves a caller's array writeable
+            arr = arr.astype(np.min_scalar_type(len(labels) - 1))
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "assignments", tuple(frozen))
@@ -122,44 +118,40 @@ class MindEnsemble:
 
 
 def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
-          ensembles: list[MindEnsemble] | None = None) -> np.ndarray:
+          ensembles: list[MindEnsemble]) -> np.ndarray:
     """Index into ``outcomes`` for every mind, by inverse CDF on ``u``.
 
-    With ``ensembles`` None, ``probs`` is one row {outcome: p} for all minds.
-    Otherwise it maps each realized history key (one observer's history, or
-    a tuple of per-observer histories paired by mind index) to the row for
-    the minds on that history. Rows are written densely in ``outcomes``
-    order; a zero entry is an empty bin that is never drawn.
+    ``probs`` maps each history key to a row {outcome: p}: ``()`` with no
+    ``ensembles``, one observer's history with one, else a tuple of
+    per-observer histories paired by mind index. Each mind walks its history
+    columns down the prefixes of the keys, one lookup table per column, to
+    the node of its key, which is its row; a history that no key has ends on
+    node -1. Rows are dense in ``outcomes`` order; a zero entry is never drawn.
     """
-    def row(dist, where):
-        total = sum(dist.values())
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"{where}: probability mass is {total}, expected 1")
-        if any(p < 0 for p in dist.values()):
-            raise ValueError(f"{where}: negative probability")
-        return [dist.get(o, 0.0) for o in outcomes]
-
-    if ensembles is None:
-        return sample_indices(u, row(probs, context))
-    # mixed-radix history code, densified whenever the radix product would
-    # leave int64; both keep the lexicographic order of the histories
-    code, span = np.zeros(len(u), np.int64), 1
-    for ens in ensembles:
-        for labels, col in zip(ens.outcome_labels, ens.assignments):
-            if span * len(labels) > 2**62:
-                classes, code = np.unique(code, return_inverse=True)
-                span = len(classes)
-            code, span = code * len(labels) + col, span * len(labels)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    chosen = np.empty(len(u), dtype=np.int64)
-    for cls, i in enumerate(first.tolist()):
-        key = tuple(ens.history(i) for ens in ensembles)
+    paths = {}  # each key's labels in column order, for keys of the histories' shape
+    for key in probs:
+        hists = (key,) if len(ensembles) == 1 else key
+        if len(hists) == len(ensembles) and all(isinstance(h, tuple) and len(h) == len(e.events)
+                                                for h, e in zip(hists, ensembles)):
+            paths[sum(hists, ())] = key
+    level, node = ({(): 0}, 0) if paths else ({}, -1)  # node of each prefix at this depth
+    columns = [(labels, col) for e in ensembles
+               for labels, col in zip(e.outcome_labels, e.assignments)]
+    for depth, (labels, col) in enumerate(columns):
+        pos = {label: i for i, label in enumerate(labels)}
+        # one row per prefix node, and a last row that keeps node -1 on -1
+        step, below = np.full((len(level) + 1, len(labels)), -1, np.intp), {}
+        for path in paths:
+            if path[:depth] in level and path[depth] in pos:
+                child = below.setdefault(path[:depth + 1], len(below))
+                step[level[path[:depth]], pos[path[depth]]] = child
+        level, node = below, step[node, col]
+    if np.any(node < 0):
+        key = tuple(ens.history(np.argmax(node < 0)) for ens in ensembles)
         key = key[0] if len(ensembles) == 1 else key
-        if key not in probs:
-            raise KeyError(f"{context}: no distribution for realized history {key!r}")
-        mask = inverse == cls
-        chosen[mask] = sample_indices(u[mask], row(probs[key], f"{context} given {key!r}"))
-    return chosen
+        raise KeyError(f"{context}: no distribution for realized history {key!r}")
+    rows = [[probs[paths[path]].get(o, 0.0) for o in outcomes] for path in level]
+    return sample_indices(u, rows, node)
 
 
 def _extend(ens: MindEnsemble, event_id: str, labels: tuple, column) -> MindEnsemble:
@@ -176,7 +168,8 @@ def split_local(ensemble: MindEnsemble, event_id: str, probs: Mapping) -> MindEn
     ``probs`` is either one distribution over outcome labels (applied to all
     minds) or a mapping from full history tuples to such distributions, for
     sequential measurements where a mind's next outcome is conditioned on the
-    branch it already occupies.
+    branch it already occupies. Both draw by one path, each mind's history
+    picking its row of one table; a realized history with no row raises ``KeyError``.
     """
     context = f"split_local({event_id!r})"
     if not probs:
@@ -184,11 +177,11 @@ def split_local(ensemble: MindEnsemble, event_id: str, probs: Mapping) -> MindEn
     conditional = all(isinstance(k, tuple) for k in probs)
     if not conditional and any(isinstance(k, tuple) for k in probs):
         raise ValueError(f"{context}: mixed unconditional and conditional keys")
-    rows = probs.values() if conditional else (probs,)
-    labels = tuple(sorted({o for dist in rows for o in dist}))
+    probs, keyed_by = (probs, [ensemble]) if conditional else ({(): probs}, [])
+    labels = tuple(sorted({o for dist in probs.values() for o in dist}))
     u = ensemble.rng.uniforms(ensemble.size, "local", ensemble.observer, event_id,
                               start=ensemble.first)
-    chosen = _draw(u, probs, labels, context, [ensemble] if conditional else None)
+    chosen = _draw(u, probs, labels, context, keyed_by)
     return _extend(ensemble, event_id, labels, chosen)
 
 
@@ -219,15 +212,15 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
         if set(dist.subsystems) != set(order):
             raise ValueError(f"decomposition covers {dist.subsystems}, observers are {order}")
         perm = [dist.subsystems.index(obs) for obs in order]
-        dist = {tuple(k[p] for p in perm): w for k, w in dist.joint_distribution().items()}
-        rows, keyed_by = (dist,), None
+        dist = {(): {tuple(k[p] for p in perm): w for k, w in dist.joint_distribution().items()}}
+        keyed_by = []
     elif dist and all(isinstance(k, tuple) and isinstance(row, Mapping)
                       for k, row in dist.items()):
-        rows, keyed_by = dist.values(), ensembles
+        keyed_by = ensembles
     else:
         raise ValueError("split_joint needs a BranchDecomposition or a mapping from "
                          "per-observer histories to joint distributions")
-    tuples = sorted({t for row in rows for t in row})
+    tuples = sorted({t for row in dist.values() for t in row})
     if any(len(t) != len(ensembles) for t in tuples):
         raise ValueError(f"joint outcomes must have one label for each of {len(ensembles)} "
                          "observers")
@@ -237,7 +230,8 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
     out = []
     for pos, ens in enumerate(ensembles):
         labels = tuple(sorted({t[pos] for t in tuples}))
-        lookup = np.asarray([labels.index(t[pos]) for t in tuples])
+        lookup = np.asarray([labels.index(t[pos]) for t in tuples],
+                            np.min_scalar_type(len(labels) - 1))
         out.append(_extend(ens, event_id, labels, lookup[chosen]))
     return out
 

@@ -106,36 +106,40 @@ def code_counts(size: int, columns, shape: tuple) -> np.ndarray:
     return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
 
-def sample_indices(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Map uniforms to outcome indices by inverse CDF over ``probs``.
+def sample_indices(uniforms: np.ndarray, probs: np.ndarray, rows=0) -> np.ndarray:
+    """Map uniforms to outcome indices by inverse CDF over rows of ``probs``.
 
-    The index of ``u`` is the number of cumulative sums at or below it,
-    ``sum_j (u >= cum[j])``: discrete inversion by sequential search
+    ``probs`` is one row or a table of rows; ``rows`` is one row index shared
+    by every draw, or an array with one row index per uniform. The index of
+    ``u`` is the number of cumulative sums of its row at or below it,
+    ``sum_j (u >= cum[row, j])``: discrete inversion by sequential search
     (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. III.2).
-    Counting runs only over the sums before the last positive outcome,
-    ``last``, so an outcome of probability 0 is never returned, and a
-    uniform at or above the last cumulative sum (possible when ``probs``
-    sums to slightly under 1) maps onto ``last``.
+    Counting runs only over the sums before the row's last positive outcome,
+    ``last``, so an outcome of probability 0 is never returned, and a uniform
+    at or above the row's last cumulative sum (possible when the row sums to
+    slightly under 1) maps onto ``last``.
 
     One comparison pass per outcome beats a binary search while ``last`` is
-    at most ``_SCAN_MAX``; longer rows (tree events, joint tuples) take
-    ``np.searchsorted``, clamped to ``last``, which gives the same index.
-    Either way the indices come back in the smallest unsigned dtype that
-    holds ``len(probs) - 1`` (``np.min_scalar_type``), uint8 up to 256
-    outcomes.
+    at most ``_SCAN_MAX``; a longer shared row (tree events, joint tuples)
+    takes ``np.searchsorted``, which gives the same index. Either way the
+    indices come back in the smallest unsigned dtype that holds the row
+    length minus 1 (``np.min_scalar_type``), uint8 up to 256 outcomes.
     """
-    probs = np.asarray(probs, dtype=float)
-    if np.isnan(probs).any() or (probs < 0).any():
+    table = np.atleast_2d(np.asarray(probs, dtype=float))
+    if np.isnan(table).any() or (table < 0).any():
         raise ValueError(f"probabilities must be non-negative numbers, got {probs}")
-    cum = np.cumsum(probs)
-    if abs(cum[-1] - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {cum[-1]}, expected 1")
-    last = int(np.flatnonzero(probs)[-1])
-    dtype = np.min_scalar_type(len(probs) - 1)
-    if last > _SCAN_MAX:
-        return np.minimum(np.searchsorted(cum, uniforms, side="right"), last).astype(dtype)
+    cum = np.cumsum(table, axis=1)
+    unnormalized = np.abs(cum[:, -1] - 1.0) > 1e-9
+    if unnormalized.any():
+        raise ValueError(f"probabilities sum to {cum[unnormalized, -1][0]}, expected 1")
+    last = table.shape[1] - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    # a sum at or past the last positive outcome is never counted
+    cum[np.arange(table.shape[1]) >= last[:, None]] = np.inf
+    dtype = np.min_scalar_type(table.shape[1] - 1)
+    if np.ndim(rows) == 0 and last[rows] > _SCAN_MAX:
+        return np.searchsorted(cum[rows], uniforms, side="right").astype(dtype)
     uniforms = np.asarray(uniforms)
     idx = np.zeros(uniforms.shape, dtype)
-    for c in cum[:last]:
-        idx += uniforms >= c
+    for c in cum[:, :np.max(last[rows], initial=0)].T:
+        idx += uniforms >= c[rows]
     return idx

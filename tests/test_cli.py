@@ -369,10 +369,10 @@ class TestUsageErrors:
             tracemalloc.stop()
         assert status == 1
         err = capsys.readouterr().err
-        assert f"{flag} 1000000000000" in err and f"{cli.MAX_DRAW_BYTES:,} bytes" in err
+        assert f"{flag} 1000000000000" in err and f"{cli.MAX_DRAWS:,} draws" in err
         assert peak < 2**20
         field = flag[2:]
-        limit = cli.MAX_DRAW_BYTES // 8
+        limit = cli.MAX_DRAWS
         assert cli.RunConfig(command, spec_path="t.json", **{field: limit}).draws == limit
         with pytest.raises(cli.UsageError, match=flag):
             cli.RunConfig(command, spec_path="t.json", **{field: limit + 1})

@@ -288,26 +288,34 @@ class TestSplitLocal:
         with pytest.raises(ValueError):
             split_local(MindEnsemble("a", 4, RngSpec(1)), "m", {"+": 0.6, "-": 0.3})
 
-    def test_too_many_outcomes_rejected(self):
-        # int16 columns would wrap a 40,000-outcome split to negative indices
-        probs = {f"o{i:05d}": 1 / 40000 for i in range(40000)}
-        with pytest.raises(ValueError, match="int16"):
-            split_local(MindEnsemble("a", 4, RngSpec(1)), "m", probs)
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_forty_thousand_outcomes_fill_a_uint16_column(self, conditional):
+        # an int16 column could not index these outcomes past 32,767
+        wide = {f"o{i:05d}": 1 / 40000 for i in range(40000)}
+        ens = MindEnsemble("a", 64, RngSpec(63))
+        probs = wide
+        if conditional:
+            ens = split_local(ens, "first", {"H": 0.5, "T": 0.5})
+            probs = {("H",): wide, ("T",): {"o39999": 1.0}}
+        got = last_column(split_local(ens, "m", probs))
+        assert got[1].dtype == np.uint16 and len(got[0]) == 40000
+        assert got[1].max() > 32767
+        assert same_column(got, label_split_local(ens, "m", probs))
 
-    def test_outcome_count_limit_is_int16_max(self):
-        def ensemble(k):
-            return MindEnsemble("a", 1, RngSpec(1), events=("m",),
-                                outcome_labels=(tuple(map(str, range(k))),),
-                                assignments=(np.array([k - 1]),))
-
-        assert ensemble(32767).assignments[0].tolist() == [32766]
-        with pytest.raises(ValueError, match="int16"):
-            ensemble(32768)
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_caller_column_stays_writeable(self, dtype):
+        column = np.array([0, 1, 1], dtype)
+        ens = MindEnsemble("a", 3, RngSpec(1), events=("m",), outcome_labels=(("+", "-"),),
+                           assignments=(column,))
+        assert column.flags.writeable and not ens.assignments[0].flags.writeable
+        assert ens.assignments[0].dtype == np.uint8
+        column[0] = 1
+        assert ens.assignments[0].tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("column", [[0, 5, 1], [0, -1, 1], [0, 65537, 1]])
     def test_out_of_range_index_rejected(self, column):
         # 5 used to be accepted and made proportions sum to 2/3; 65,537 would
-        # wrap to 1 under the int16 cast
+        # wrap to 1 under the cast to a uint8 column
         with pytest.raises(ValueError, match="0..1"):
             MindEnsemble("a", 3, RngSpec(1), events=("m",), outcome_labels=(("+", "-"),),
                          assignments=(np.array(column),))
@@ -317,10 +325,21 @@ class TestSplitLocal:
         with pytest.raises(KeyError):
             split_local(ens, "n", {("+",): {"x": 1.0}})
 
+    @pytest.mark.parametrize("keys, missing", [
+        # "-" minds leave the keys at their first column; the second must not lead back
+        ([("+", "x"), ("+", "y")], r"\('-', '[xy]'\)"),
+        # a longer key is no history of two events, though it starts like one
+        ([("+", "x", "q"), ("+", "y"), ("-", "x"), ("-", "y")], r"\('\+', 'x'\)")])
+    def test_two_event_history_without_a_key_rejected(self, keys, missing):
+        ens = split_local(MindEnsemble("a", 100, RngSpec(1)), "m", {"+": 0.5, "-": 0.5})
+        ens = split_local(ens, "n", {"x": 0.5, "y": 0.5})
+        with pytest.raises(KeyError, match="realized history " + missing):
+            split_local(ens, "o", dict.fromkeys(keys, {"z": 1.0}))
+
     @pytest.mark.parametrize("k, events", [(2, 64), (4, 40)])
     def test_conditional_split_on_histories_past_int64(self, k, events):
-        # 2**64 and 4**40 histories: a mixed-radix code over all columns
-        # leaves int64, so the classes must be re-densified on the way
+        # 2**64 and 4**40 histories, more than a mixed-radix int64 code over
+        # all columns can tell apart
         cols = np.random.default_rng(k).integers(0, k, size=(events, 6))
         cols[:, 1] = cols[:, 2] = cols[:, 0]
         cols[-1, 1] = (cols[-1, 0] + 1) % k  # mind 1 differs from mind 0 last

@@ -116,6 +116,9 @@ class TestSampleIndices:
         idx = sample_indices(np.array([0.0, 0.3, 0.99999]), [0.3, 0.7])
         assert idx.tolist() == [0, 1, 1]
 
+    def test_no_draws_with_a_row_per_draw(self):
+        assert sample_indices(np.array([]), [[0.3, 0.7]], np.array([], int)).shape == (0,)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             sample_indices(np.array([0.5]), [0.3, 0.3])
@@ -131,15 +134,17 @@ class TestSampleIndices:
             sample_indices(np.array([0.5]), probs)
 
     @settings(max_examples=200, deadline=None)
-    @given(weights=st.integers(1, 300).flatmap(lambda k: st.lists(
-               st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=k, max_size=k)),
+    @given(table=st.integers(1, 300).flatmap(lambda k: st.lists(st.lists(
+               st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=k, max_size=k),
+               min_size=1, max_size=3)),
            shortfall=st.floats(0.0, 1e-10),
            seed=st.integers(0, 2**32 - 1))
-    def test_zero_probability_never_sampled_property(self, weights, shortfall, seed):
+    def test_zero_probability_never_sampled_property(self, table, shortfall, seed):
         # rows of 1 to 300 outcomes straddle the cutoff between counting
         # comparisons and the binary search
-        assume(sum(weights) > 0)
-        probs = np.asarray(weights) / sum(weights) * (1.0 - shortfall)
+        assume(all(sum(weights) > 0 for weights in table))
+        table = np.asarray(table) / np.sum(table, axis=1, keepdims=True) * (1.0 - shortfall)
+        probs = table[0]
         cum = np.cumsum(probs)
         # the cumulative sums themselves are uniforms that tie with a boundary
         u = np.concatenate([RngSpec(seed).uniforms(200, "prop"),
@@ -153,6 +158,14 @@ class TestSampleIndices:
         # draws below the last cumulative sum keep their inverse-CDF index
         inside = u < cum[-1]
         assert np.array_equal(idx[inside], sample_oracle(u[inside], probs))
+        # with a row per draw, each draw gets the index that its row alone gives it
+        u = np.concatenate([u, np.cumsum(table[1:], axis=1).ravel()])
+        rows = np.random.default_rng(seed).integers(0, len(table), len(u))
+        idx = sample_indices(u, table, rows)
+        assert idx.dtype == np.min_scalar_type(len(probs) - 1)
+        for row in range(len(table)):
+            assert np.array_equal(idx[rows == row], sample_indices(u[rows == row], table[row]))
+            assert np.array_equal(sample_indices(u, table, row), sample_indices(u, table[row]))
 
 
 class TestCodeCounts:
@@ -160,8 +173,8 @@ class TestCodeCounts:
     @given(data=st.data(), shape=st.lists(st.integers(1, 70), max_size=3),
            n=st.integers(0, 300), minds_columns=st.booleans())
     def test_matches_counter(self, data, shape, n, minds_columns):
-        # sampled columns take their smallest unsigned type, ensemble columns int16;
-        # up to 70**3 cells, the code itself goes from uint8 to uint32
+        # sampled columns take their smallest unsigned type, a caller's columns may be
+        # signed; up to 70**3 cells, the code itself goes from uint8 to uint32
         columns = [np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
                               dtype=np.int16 if minds_columns else np.min_scalar_type(k - 1))
                    for k in shape]
