@@ -149,7 +149,9 @@ def _run_tree(config: RunConfig):
         stat = pearson_statistic(result.counts, tree.probs * config.minds)
         checks.append(_stochastic("chi_square_fit", stat, pvalue, "Pearson chi-square of "
                                   "the leaf counts against the exact probabilities"))
-    return payload, checks, [["leaf_path", "count", "exact_prob"], *zip(*columns)]
+    # csv.writer writes a float as its repr, so the table takes the texts as they are
+    table = zip(*columns[:2], _float_reprs(tree.probs))
+    return payload, checks, [["leaf_path", "count", "exact_prob"], *table]
 
 
 def _run_epr(config: RunConfig):
@@ -435,8 +437,18 @@ def _column(values) -> list[str] | None:
     if not types <= encoders.keys():
         return None
     encode = encoders[types.pop()] if len(types) == 1 else json.dumps
-    finite = encode is not float.__repr__ or math.isfinite(sum(values))  # no nan or inf
-    return list(map(encode if finite else json.dumps, values))
+    if encode is not float.__repr__:
+        return list(map(encode, values))
+    finite = math.isfinite(sum(values))  # no nan or inf
+    return _float_reprs(values) if finite else list(map(json.dumps, values))
+
+
+def _float_reprs(values) -> list[str]:
+    """``repr`` of each float, computed once per distinct bit pattern (so -0.0 stays -0.0)."""
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64),
+                              return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def render_csv(report: dict) -> str:

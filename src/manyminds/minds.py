@@ -151,7 +151,15 @@ def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
         key = key[0] if len(ensembles) == 1 else key
         raise KeyError(f"{context}: no distribution for realized history {key!r}")
     rows = [[probs[paths[path]].get(o, 0.0) for o in outcomes] for path in level]
-    return sample_indices(u, rows, node)
+    try:
+        return sample_indices(u, rows, node)
+    except ValueError:  # name the split and the key of the first row sample_indices refuses
+        for path, row in zip(level, rows):
+            try:
+                sample_indices((), row)
+            except ValueError as exc:
+                raise ValueError(f"{context} given {paths[path]!r}: {exc}") from None
+        raise
 
 
 def _extend(ens: MindEnsemble, event_id: str, labels: tuple, column) -> MindEnsemble:

@@ -1,4 +1,6 @@
 """CLI plumbing: config resolution, reports, exit codes, determinism."""
+import csv
+import io
 import json
 import math
 import os
@@ -406,7 +408,10 @@ JSON_LISTS = st.one_of(
         JSON_SCALARS, JSON_TEXT, st.integers(-2**70, 2**70), st.floats(),
         st.floats(allow_nan=False, allow_infinity=False), st.one_of(st.booleans(), st.integers()),
         st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3))),
-    JSON_ROWS)
+    JSON_ROWS,
+    # long float columns with repeats and both zeros, formatted once per distinct value
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 0.1, 1e16, -1.5]),
+             min_size=1, max_size=200))
 JSON_VALUES = st.recursive(
     st.one_of(JSON_SCALARS, JSON_LISTS),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
@@ -424,6 +429,11 @@ class TestRenderJson:
     @given(header=st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3), body=JSON_VALUES)
     def test_matches_json_dumps_byte_for_byte(self, header, body):
         report = {"header": header, "body": body, "_csv_table": []}
+        assert cli.render_json(report) == json_dumps_report(report)
+
+    def test_signed_zeros_stay_apart(self):
+        report = {"header": {}, "body": {"zeros": [0.0, -0.0, 0.0]}, "_csv_table": []}
+        assert '-0.0' in cli.render_json(report)
         assert cli.render_json(report) == json_dumps_report(report)
 
     def test_tree_report_never_enters_pure_python_encoder(self, tmp_path, monkeypatch):
@@ -459,6 +469,20 @@ class TestOutputFormats:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "leaf_path,count,exact_prob"
         assert len(data) == 7
+
+    @pytest.mark.parametrize("events, minds", [([[1 / 3, 2 / 3]] * 16, 1000),
+                                               ([[-0.0, 1.0]], 10)])
+    def test_csv_writes_each_float_as_its_repr(self, tmp_path, events, minds):
+        spec = write_tree_spec(tmp_path, events)
+        _, report = cli.run(cli.RunConfig("tree", spec_path=spec, minds=minds, format="csv"))
+        want = io.StringIO()
+        want.writelines(f"# {k}={report['header'][k]}\n" for k in sorted(report["header"]))
+        csv.writer(want).writerows([["leaf_path", "count", "exact_prob"], *(
+            (leaf["path"], leaf["count"], leaf["exact_prob"])
+            for leaf in report["body"]["leaves"])])
+        # lines, not one 3.8 MB string, so that a failure reports without a text diff
+        assert cli.render_csv(report).splitlines() == want.getvalue().splitlines()
+        assert ("-0.0" in want.getvalue()) == (minds == 10)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -288,6 +288,17 @@ class TestSplitLocal:
         with pytest.raises(ValueError):
             split_local(MindEnsemble("a", 4, RngSpec(1)), "m", {"+": 0.6, "-": 0.3})
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"x": 0.5}, "probabilities sum to 0.5, expected 1"),
+        ({"x": -0.5, "y": 1.5}, "probabilities must be non-negative"),
+    ])
+    def test_bad_row_error_names_split_and_history(self, bad, message):
+        ens = split_local(MindEnsemble("a", 8, RngSpec(1)), "first", {"+": 0.5, "-": 0.5})
+        probs = {("+",): {"x": 1.0}, ("-",): bad}
+        with pytest.raises(ValueError) as exc:
+            split_local(ens, "m", probs)
+        assert str(exc.value).startswith(f"split_local('m') given ('-',): {message}")
+
     @pytest.mark.parametrize("conditional", [False, True])
     def test_forty_thousand_outcomes_fill_a_uint16_column(self, conditional):
         # an int16 column could not index these outcomes past 32,767
