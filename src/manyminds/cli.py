@@ -130,7 +130,7 @@ def _normal(name: str, estimate: float, expected: float, se: float, detail: str)
 def _run_tree(config: RunConfig):
     tree = build_tree(load_tree_spec(config.spec_path))
     result = random_walk(tree, config.minds, config.rng)
-    columns = (list(map("/".join, tree.paths)), result.counts.tolist(), tree.probs.tolist())
+    columns = (tree.path_texts(), result.counts.tolist(), tree.probs.tolist())
     payload = {
         "walkers": config.minds,
         "leaves": [{"path": p, "count": c, "exact_prob": w} for p, c, w in zip(*columns)],
@@ -452,10 +452,20 @@ def _float_reprs(values) -> list[str]:
 
 
 def render_csv(report: dict) -> str:
+    """Header fields as ``# key=value`` lines, then the table as ``csv.writer`` writes it:
+    a table of one width of two or more through one row template, unless a cell holds
+    a delimiter, a quote or a line break, or is None (written empty)."""
     buf = io.StringIO()
     for key in sorted(report["header"]):
         buf.write(f"# {key}={report['header'][key]}\n")
-    csv.writer(buf).writerows(report["_csv_table"])
+    table = report["_csv_table"]
+    if len(widths := set(map(len, table))) == 1 and (width := widths.pop()) > 1:
+        template = ",".join(["%s"] * width) + "\r\n"
+        text = "".join(map(template.__mod__, map(tuple, table)))
+        if (text.count(",") == len(table) * (width - 1) and '"' not in text and "None" not in text
+                and text.count("\r") == text.count("\n") == len(table)):
+            return buf.getvalue() + text
+    csv.writer(buf).writerows(table)
     return buf.getvalue()
 
 

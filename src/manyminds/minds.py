@@ -102,12 +102,6 @@ class MindEnsemble:
         except ValueError:
             raise KeyError(f"unknown event {event_id!r} for observer {self.observer!r}") from None
 
-    def outcomes(self, event_id: str) -> np.ndarray:
-        """Decode helper: outcome labels of all minds at one event, as an
-        object array. Computations use the ``assignments`` index columns."""
-        k = self.event_index(event_id)
-        return np.asarray(self.outcome_labels[k], dtype=object)[self.assignments[k]]
-
     def history(self, index: int) -> tuple[str, ...]:
         return tuple(self.outcome_labels[k][self.assignments[k][index]]
                      for k in range(len(self.events)))

@@ -41,7 +41,6 @@ __all__ = [
     "axis_name",
     "pauli",
     "spin_product",
-    "make_qubit_state",
     "ready_state",
     "tensor",
     "premeasure",
@@ -224,15 +223,6 @@ class StateVector:
     def tensor_amps(self) -> np.ndarray:
         return self.amps.reshape(self.layout.dims)
 
-    def amplitude(self, **labels_by_name: str) -> complex:
-        """Amplitude of the joint basis vector picked out by per-subsystem labels."""
-        idx = []
-        for name, labels in self.layout.subsystems:
-            if name not in labels_by_name:
-                raise KeyError(f"missing label for subsystem {name!r}")
-            idx.append(labels.index(labels_by_name[name]))
-        return complex(self.tensor_amps[tuple(idx)])
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -321,15 +311,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 # ---------------------------------------------------------------------------
 # State construction
-
-
-def make_qubit_state(name: str, alpha: complex, beta: complex) -> StateVector:
-    """Single qubit alpha|+z> + beta|-z>, with labels ("+", "-")."""
-    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm_sq - 1.0) > ATOL:
-        raise NormalizationError(f"|alpha|^2 + |beta|^2 = {norm_sq}, expected 1")
-    layout = SubsystemLayout(((name, ("+", "-")),))
-    return StateVector(layout, np.array([alpha, beta], dtype=complex))
 
 
 def ready_state(name: str, pointer_labels: tuple[str, ...]) -> StateVector:

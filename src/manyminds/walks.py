@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 
 import numpy as np
 
@@ -101,15 +102,29 @@ class TreeSpec:
 
 @dataclass(frozen=True)
 class Tree:
-    """Leaf paths (over measured slots only) with exact product probabilities."""
+    """Leaf paths (over measured slots only) with exact product probabilities;
+    ``paths``, the label tuples in ``itertools.product`` order, is built on first read."""
 
     spec: TreeSpec
-    paths: tuple[tuple[str, ...], ...]
     probs: np.ndarray = field(repr=False)
 
     @property
     def active_events(self) -> tuple[TreeEvent, ...]:
         return tuple(e for e in self.spec.events if not e.skip)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(product(*(e.labels for e in self.active_events)))
+
+    def path_texts(self) -> list[str]:
+        """``"/".join`` of each of ``paths``: each text of the first half of the
+        events, in order, followed by each text of the second half."""
+        labels = [e.labels for e in self.active_events]
+        half = len(labels) // 2  # no first half below two events
+        heads, tails = ([*map("/".join, product(*side))] for side in (labels[:half], labels[half:]))
+        if not half:
+            return tails
+        return [*chain.from_iterable(map((h + "/").__add__, tails) for h in heads)]
 
 
 def build_tree(spec: TreeSpec) -> Tree:
@@ -121,7 +136,7 @@ def build_tree(spec: TreeSpec) -> Tree:
         probs = np.outer(probs, np.asarray(event.probs)).ravel()
     if abs(probs.sum() - 1.0) > ATOL:
         raise ValueError(f"leaf probabilities sum to {probs.sum()}, expected 1")
-    return Tree(spec, tuple(product(*(e.labels for e in active))), probs)
+    return Tree(spec, probs)
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,11 @@ def test_target_resolves(module_name, attr):
 
 def test_attributes_read_by_counters():
     from manyminds.minds import ReportCheck, mismatch_probability
-    from manyminds.walks import Tree, WalkResult
+    from manyminds.walks import TreeEvent, TreeSpec, WalkResult, build_tree
 
     assert "size" in {f.name for f in dataclasses.fields(ReportCheck)}
-    assert "paths" in {f.name for f in dataclasses.fields(Tree)}
+    tree = build_tree(TreeSpec((TreeEvent("a", (0.5, 0.5)), TreeEvent("b", (0.2, 0.3, 0.5)))))
+    assert len(tree.paths) == tree.probs.size
     assert {"counts", "total", "tree"} <= {f.name for f in dataclasses.fields(WalkResult)}
     # the trial counter reads the third positional argument
     params = list(inspect.signature(mismatch_probability).parameters)

@@ -452,6 +452,26 @@ class TestRenderJson:
         assert cli.render_json(report) == want
 
 
+def csv_writer_text(report):
+    out = io.StringIO()
+    out.writelines(f"# {k}={report['header'][k]}\n" for k in sorted(report["header"]))
+    csv.writer(out).writerows(report["_csv_table"])
+    return out.getvalue()
+
+
+# cells csv.writer must quote (delimiter, quote, line breaks), cells it writes
+# as empty ("" and None), and the text "None" in a cell of its own
+CSV_TEXT = st.lists(st.sampled_from(["a", ",", '"', "\r", "\n", " ", "None", "\u00e9"]),
+                    max_size=3).map("".join)
+CSV_CELLS = st.one_of(CSV_TEXT, st.integers(), st.floats(), st.none())
+CSV_ROWS = st.one_of(st.lists(CSV_CELLS, max_size=4), st.tuples(CSV_CELLS, CSV_CELLS, CSV_CELLS))
+# tables of one width (0 to 4 columns, none to several rows) and ragged tables
+CSV_TABLES = st.one_of(
+    st.integers(0, 4).flatmap(lambda w: st.lists(st.lists(CSV_CELLS, min_size=w, max_size=w),
+                                                 max_size=5)),
+    st.lists(CSV_ROWS, max_size=5))
+
+
 class TestOutputFormats:
     def test_stdout_json(self, capsys):
         assert cli.main(["enumerate", "--seed", "1"]) == 0
@@ -483,6 +503,47 @@ class TestOutputFormats:
         # lines, not one 3.8 MB string, so that a failure reports without a text diff
         assert cli.render_csv(report).splitlines() == want.getvalue().splitlines()
         assert ("-0.0" in want.getvalue()) == (minds == 10)
+
+    def test_tree_csv_never_enters_csv_writer(self, tmp_path, monkeypatch):
+        spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 8)
+        _, report = cli.run(cli.RunConfig("tree", spec_path=spec, minds=1000, format="csv"))
+        want = csv_writer_text(report)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.writer was entered")
+
+        monkeypatch.setattr(csv, "writer", refuse)
+        assert cli.render_csv(report) == want
+
+    def test_labels_that_need_quoting(self, tmp_path):
+        # the body the row template's predecessor, csv.writer alone, wrote
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"events": [{"probs": [0.5, 0.5], "labels": ["a,b", 'c"d']}]}))
+        _, report = cli.run(cli.RunConfig("tree", spec_path=str(path), minds=1000, seed=3,
+                                          format="csv"))
+        body = cli.render_csv(report).split("\n", len(report["header"]))[-1]
+        assert body == 'leaf_path,count,exact_prob\r\n"a,b",499,0.5\r\n"c""d",501,0.5\r\n'
+
+    @settings(max_examples=500, deadline=None)
+    @given(header=st.dictionaries(st.text(max_size=3), CSV_CELLS, max_size=2), table=CSV_TABLES)
+    def test_render_csv_matches_csv_writer_byte_for_byte(self, header, table):
+        report = {"header": header, "body": {}, "_csv_table": table}
+        assert cli.render_csv(report) == csv_writer_text(report)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tree_run_builds_no_path_tuples(self, tmp_path, monkeypatch, fmt):
+        # the label tuples of Tree.paths are built on first read, and no command reads them
+        built = []
+
+        def keep(spec):
+            built.append(build_tree(spec))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_tree", keep)
+        spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 8)
+        status, _ = run_to_file(tmp_path, ["tree", "--spec", spec, "--format", fmt])
+        assert status == 0
+        assert len(built) == 1 and "paths" not in vars(built[0])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -34,9 +34,10 @@ from manyminds.quantum import (
     Branch,
     BranchDecomposition,
     PreconditionError,
+    StateVector,
+    SubsystemLayout,
     branch_decompose,
     expectation,
-    make_qubit_state,
     spin_product,
     tensor,
 )
@@ -50,6 +51,18 @@ def band(p, n, sigmas=4):
     return sigmas * math.sqrt(p * (1 - p) / n)
 
 
+def make_qubit_state(name, alpha, beta):
+    """Single qubit alpha|+z> + beta|-z>, with labels ("+", "-")."""
+    layout = SubsystemLayout(((name, ("+", "-")),))
+    return StateVector(layout, np.array([alpha, beta], dtype=complex))
+
+
+def amplitude(state, **labels_by_name):
+    """Amplitude of the joint basis vector picked out by per-subsystem labels."""
+    return complex(state.tensor_amps[tuple(labels.index(labels_by_name[name])
+                                           for name, labels in state.layout.subsystems)])
+
+
 def product_pair(a1, b1, a2, b2):
     return tensor([make_qubit_state("p1", a1, b1), make_qubit_state("p2", a2, b2)])
 
@@ -57,10 +70,10 @@ def product_pair(a1, b1, a2, b2):
 class TestSinglet:
     def test_z_amplitudes(self):
         s = singlet()
-        assert s.amplitude(p1="+", p2="+") == pytest.approx(0.0, abs=1e-12)
-        assert s.amplitude(p1="+", p2="-") == pytest.approx(INV_SQRT2, abs=1e-12)
-        assert s.amplitude(p1="-", p2="+") == pytest.approx(-INV_SQRT2, abs=1e-12)
-        assert s.amplitude(p1="-", p2="-") == pytest.approx(0.0, abs=1e-12)
+        assert amplitude(s, p1="+", p2="+") == pytest.approx(0.0, abs=1e-12)
+        assert amplitude(s, p1="+", p2="-") == pytest.approx(INV_SQRT2, abs=1e-12)
+        assert amplitude(s, p1="-", p2="+") == pytest.approx(-INV_SQRT2, abs=1e-12)
+        assert amplitude(s, p1="-", p2="-") == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_rotational_invariance(self, axis):

@@ -26,7 +26,7 @@ from manyminds.ghz import (
     simulate_scenarios,
     verify_constraints,
 )
-from manyminds.quantum import branch_decompose, make_qubit_state, tensor
+from manyminds.quantum import StateVector, SubsystemLayout, branch_decompose, tensor
 from manyminds.rng import RngSpec, sample_indices
 
 SIGNIFICANCE = 1e-4
@@ -57,6 +57,18 @@ def label_witnesses(row):
 
     return tuple((observer, pair) for observer, pair in FLIP_CANDIDATES
                  if sign(observer, pair[0]) != sign(observer, pair[1]))
+
+
+def make_qubit_state(name, alpha, beta):
+    """Single qubit alpha|+z> + beta|-z>, with labels ("+", "-")."""
+    layout = SubsystemLayout(((name, ("+", "-")),))
+    return StateVector(layout, np.array([alpha, beta], dtype=complex))
+
+
+def amplitude(state, **labels_by_name):
+    """Amplitude of the joint basis vector picked out by per-subsystem labels."""
+    return complex(state.tensor_amps[tuple(labels.index(labels_by_name[name])
+                                           for name, labels in state.layout.subsystems)])
 
 
 def band(p, n, sigmas=4):
@@ -115,9 +127,9 @@ def gf2_solution_count(constraint_ids):
 class TestState:
     def test_z_amplitudes_and_norm(self):
         g = ghz_state()
-        assert g.amplitude(p1="+", p2="+", p3="+") == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert g.amplitude(p1="-", p2="-", p3="-") == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
-        assert g.amplitude(p1="+", p2="-", p3="+") == 0
+        assert amplitude(g, p1="+", p2="+", p3="+") == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert amplitude(g, p1="-", p2="-", p3="-") == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
+        assert amplitude(g, p1="+", p2="-", p3="+") == 0
         assert np.sum(np.abs(g.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_particle_marginal(self):

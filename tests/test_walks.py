@@ -72,6 +72,22 @@ class TestBuildTree:
         assert tree.paths == tuple(paths)
         assert tree.probs.tobytes() == probs.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(slots=st.lists(st.one_of(st.none(), st.lists(
+        st.text(st.characters(blacklist_characters="/"), max_size=3), min_size=1, max_size=4,
+        unique=True)), max_size=8).filter(lambda s: sum(x is not None for x in s) <= 6))
+    def test_path_texts_join_each_path(self, slots):
+        events = tuple(SKIP if labels is None else TreeEvent(
+            f"e{k}", (1 / len(labels),) * len(labels), tuple(labels))
+            for k, labels in enumerate(slots))
+        tree = build_tree(TreeSpec(events))
+        assert tree.path_texts() == ["/".join(p) for p in tree.paths]
+
+    def test_no_active_event_has_one_empty_path(self):
+        tree = build_tree(TreeSpec((SKIP, SKIP)))
+        assert tree.path_texts() == [""]
+        assert tree.paths == ((),)
+
     def test_leaf_cap(self, monkeypatch):
         monkeypatch.setattr(walks, "MAX_LEAVES", 6)
         assert len(build_tree(TWO_THREE_TREE).paths) == 6
@@ -199,8 +215,7 @@ class TestChiSquare:
         assert chi_square_pvalue(res) == 1.0
 
     def test_expected_total_must_match_walkers(self):
-        tree = Tree(TreeSpec((TreeEvent("a", (0.5, 0.5)),)), (("1",), ("2",)),
-                    np.array([0.5, 0.4999]))
+        tree = Tree(TreeSpec((TreeEvent("a", (0.5, 0.5)),)), np.array([0.5, 0.4999]))
         with pytest.raises(ValueError, match="relative"):
             chi_square_pvalue(WalkResult(tree, np.array([60, 40]), 100))
 
