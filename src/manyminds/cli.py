@@ -226,8 +226,8 @@ def _run_hulk(config: RunConfig):
                       math.sqrt(expected * (1.0 - expected) / config.trials),
                       f"rate {rate:.6f}, expected {expected:.6f}")]
     table = [["quantity", "value"],
-             ["mismatch_rate", repr(rate)],
-             ["expected_rate", repr(expected)],
+             ["mismatch_rate", rate],
+             ["expected_rate", expected],
              ["trials", config.trials]]
     return payload, checks, table
 
@@ -291,7 +291,7 @@ def _run_ghz(config: RunConfig):
         checks.append(_stochastic("cell_frequency_band", stat, chi_square_tail(stat, 255),
                                   "Pearson chi-square of the 256 cell counts, 255 df"))
     csv_table = [["cell_id", "count", "frequency"]]
-    csv_table += [[i, int(c), repr(c / len(sample))]
+    csv_table += [[i, int(c), c / len(sample)]
                   for i, c in enumerate(report.counts.tolist())]
     return payload, checks, csv_table
 
@@ -322,8 +322,8 @@ def _run_chsh(config: RunConfig):
                f"exact {exact:.9f} <= 2*sqrt(2)"),
     ]
     table = [["pair", "exact_expectation"]]
-    table += [[row["pair"], repr(row["exact"])] for row in pair_rows]
-    table += [["combination_exact", repr(exact)], ["combination_estimate", repr(estimate)]]
+    table += [[row["pair"], row["exact"]] for row in pair_rows]
+    table += [["combination_exact", exact], ["combination_estimate", estimate]]
     return payload, checks, table
 
 

@@ -91,7 +91,7 @@ class EprConfig:
     n_minds: int = 1
 
     def __post_init__(self):
-        axis_vector(self.alice_axis)  # rejects non-unit or malformed axes
+        axis_vector(self.alice_axis)  # refuses anything but x, y, z or a finite angle
         axis_vector(self.bob_axis)
         if not isinstance(self.policy, SamplingPolicy):
             raise ValueError("policy must be INDEPENDENT_LOCAL, JOINTLY_CORRELATED or "

@@ -81,6 +81,8 @@ class RngSpec:
         the grid ``range(0, n, CHUNK)``, added in place. Each of the
         ``min(threads, os.cpu_count())`` workers counts every workers-th window,
         so memory is bounded by ``CHUNK`` and no count depends on ``threads``."""
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         windows = range(0, n, CHUNK)
         workers = min(self.threads, os.cpu_count() or 1, len(windows))
 

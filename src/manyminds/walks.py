@@ -42,9 +42,6 @@ __all__ = [
 ]
 
 
-# repeated_frequency draws from the "tree" namespace under this scope, so no
-# tree event may take it as its id
-FREQ_SCOPE = "freq"
 MAX_LEAVES = 2**22  # every leaf path is held in memory; largest supported tree
 
 
@@ -57,8 +54,6 @@ class TreeEvent:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.event_id == FREQ_SCOPE:
-            raise ValueError(f"event id {FREQ_SCOPE!r} is reserved for repeated_frequency")
         if self.probs is None:
             if self.labels is not None:
                 raise ValueError(f"{self.event_id}: labels given for a skipped slot")
@@ -257,7 +252,7 @@ def repeated_frequency(p: float, trials: int, n_walkers: int, rng: RngSpec) -> F
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if trials < 1 or n_walkers < 1:
         raise ValueError("trials and n_walkers must be >= 1")
-    u = rng.uniforms(n_walkers * trials, "tree", FREQ_SCOPE).reshape(n_walkers, trials)
+    u = rng.uniforms(n_walkers * trials, "freq").reshape(n_walkers, trials)
     freqs = (u < p).sum(axis=1) / trials
     return FrequencyResult(p, trials, freqs)
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from manyminds.epr import EprConfig
 from manyminds.minds import marginal_for
 from manyminds.quantum import (
     PRUNE_TOL,
@@ -33,6 +34,7 @@ from manyminds.quantum import (
     trace_distance,
     variance,
 )
+from manyminds.rng import RngSpec
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -160,7 +162,9 @@ def test_state_vector_rejects_nan():
         StateVector(layout, np.array([np.nan, 0.0]))
 
 
-@pytest.mark.parametrize("axis", ["x", "y", "z", 30.0, (0.6, 0.0, 0.8), (0, 1, 0)])
+# -45 and 200 degrees point into the -x half of the plane, where phi = pi
+@pytest.mark.parametrize("axis", ["x", "y", "z", 30.0, pytest.param(-45.0, id="axis4"),
+                                  pytest.param(200.0, id="axis5")])
 def test_axis_basis_diagonalizes_spin_observable(axis):
     bmat = axis_basis(axis)
     sigma = pauli(axis)
@@ -172,13 +176,32 @@ def test_axis_basis_diagonalizes_spin_observable(axis):
 def test_named_axis_conventions():
     assert np.allclose(axis_basis("x"), np.array([[1, 1], [1, -1]]) * SQ2)
     assert np.allclose(axis_basis("y"), np.array([[1, 1], [1j, -1j]]) * SQ2)
-    # a vector that equals a named axis snaps to the same convention
-    assert np.allclose(axis_basis((1.0, 0.0, 0.0)), axis_basis("x"))
+    # an angle that equals a named axis snaps to the same convention
+    assert np.array_equal(axis_basis(90.0), axis_basis("x"))
+    assert np.array_equal(axis_basis(0.0), axis_basis("z"))
 
 
 def test_axis_vector_rejects_non_unit():
     with pytest.raises(ValueError):
         axis_vector((1.0, 1.0, 0.0))
+    with pytest.raises(ValueError):
+        axis_vector((0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("refused", [(0, 0, 1), np.array([0.0, 0.0, 1.0]), np.eye(2),
+                                     np.eye(3), "w", True])
+def test_only_names_and_angles_are_axes(refused):
+    # every entry point that takes an axis or a basis refuses 3-vectors and matrices
+    qubit = tensor([make_qubit_state("s", 1, 0), ready_state("m", ("+", "-"))])
+    for call in (lambda: axis_vector(refused), lambda: axis_basis(refused),
+                 lambda: pauli(refused), lambda: premeasure(qubit, "s", refused, "m"),
+                 lambda: branch_decompose(qubit, {"s": refused}),
+                 lambda: branch_decompose(ready_state("q", ("a", "b")), {"q": refused}),
+                 lambda: spin_product({"s": refused}),
+                 lambda: EprConfig(RngSpec(1), alice_axis=refused),
+                 lambda: EprConfig(RngSpec(1), bob_axis=refused)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_tensor_product_amplitude():
@@ -263,20 +286,6 @@ def test_premeasure_preserves_norm(seed):
 
 # Branch decomposition -------------------------------------------------------
 
-def test_unitary_basis_two_level_named_by_shape():
-    decomp = branch_decompose(make_qubit_state("s", 1, 0), {"s": np.eye(2)})
-    assert decomp.bases == ("unitary2x2",)
-    assert [(br.labels, br.weight) for br in decomp.branches] == [(("+",), 1.0)]
-
-
-def test_unitary_basis_three_level_named_by_shape():
-    # the discrete Fourier basis is complex: naming it must not cast it to float
-    dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
-    decomp = branch_decompose(ready_state("q", ("a", "b")), {"q": dft})
-    assert decomp.bases == ("unitary3x3",)
-    assert [br.weight for br in decomp.branches] == pytest.approx([1 / 3] * 3)
-
-
 def test_singlet_both_z_two_branches_with_signs():
     decomp = branch_decompose(singlet(), {"p1": "z", "p2": "z"})
     assert [br.labels for br in decomp.branches] == [("+", "-"), ("-", "+")]
@@ -340,7 +349,7 @@ def test_branch_lists_match_oracle(seed):
         (full, {"q0": "x", "rec": None, "q1": rng.uniform(0, 180), "q2": "y"}),
         (full, {"rec": None}),
         (full, {"q2": "z", "rec": None, "q1": "x"}),
-        (full, {"q0": "y", "q2": (0.6, 0.0, 0.8)}),
+        (full, {"q0": "y", "q2": math.degrees(math.asin(0.6))}),
         (measured, {"q1": "x", "rec": None}),
         (measured, {"rec": None}),
         (measured, {"q0": "z", "q1": "x", "q2": "z", "rec": None}),

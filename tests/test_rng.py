@@ -204,6 +204,14 @@ class TestLimits:
             RngSpec(1).uniforms(4, "a\x1fb")
         assert RngSpec(1).uniforms(4, "a", "b").shape == (4,)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empty_run_refused_before_counting(self, threads):
+        def count(start, stop):
+            raise AssertionError("no window should be counted")
+
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            RngSpec(1, threads=threads).count_windows(0, count)
+
     @pytest.mark.parametrize("cpus, threads, workers", [(2, 64, 2), (None, 3, 1), (4, 3, 3)])
     def test_pool_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
         seen = []

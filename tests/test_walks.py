@@ -114,12 +114,6 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             TreeSpec((TreeEvent("a", (1.0,)), TreeEvent("a", (1.0,))))
 
-    def test_frequency_stream_id_rejected(self):
-        # repeated_frequency draws from ("tree", "freq"); an event with that
-        # id would share the stream
-        with pytest.raises(ValueError, match="freq"):
-            TreeEvent("freq", (0.5, 0.5))
-
 
 class TestRandomWalk:
     def test_counts_partition_walkers(self):
@@ -246,6 +240,11 @@ class TestRepeatedFrequency:
         n, trials = 100000, 10
         res = repeated_frequency(0.5, trials, n, RngSpec(29))
         assert abs(float(res.frequencies.mean()) - 0.5) <= 4 / (2 * math.sqrt(trials * n))
+
+    def test_walker_rows_come_from_the_freq_scope(self):
+        n, trials, p, spec = 300, 7, 0.3, RngSpec(5)
+        want = (spec.uniforms(n * trials, "freq").reshape(n, trials) < p).mean(axis=1)
+        assert np.array_equal(repeated_frequency(p, trials, n, spec).frequencies, want)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
