@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import atan2, cos, sin, sqrt
+from math import atan2, cos, inf, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -97,9 +97,14 @@ def axis_vector(axis) -> np.ndarray:
     from +z, tilting toward +x in the x-z plane. Anything else is refused."""
     if isinstance(axis, str) and axis in _NAMED_VECTORS:
         return np.array(_NAMED_VECTORS[axis])
-    if isinstance(axis, (int, float)) and not isinstance(axis, bool) and np.isfinite(axis):
-        theta = np.deg2rad(float(axis))
-        return np.array([sin(theta), 0.0, cos(theta)])
+    if isinstance(axis, (int, float)) and not isinstance(axis, bool):
+        try:
+            degrees = float(axis)
+        except OverflowError:  # an int too large for a float
+            degrees = inf
+        if isfinite(degrees):
+            theta = np.deg2rad(degrees)
+            return np.array([sin(theta), 0.0, cos(theta)])
     raise ValueError(f"an axis is x, y, z or a finite angle in degrees, got {axis!r}")
 
 

@@ -50,7 +50,7 @@ class TestCommands:
         assert report["body"]["satisfying"] == 0
         assert report["body"]["total"] == 64
         assert report["header"]["command"] == "enumerate"
-        assert report["header"]["schema_version"] == 2
+        assert report["header"]["schema_version"] == 3
 
     def test_tree(self, tmp_path, tree_spec_path):
         status, out = run_to_file(tmp_path, ["tree", "--spec", tree_spec_path,
@@ -167,7 +167,7 @@ COLD_START = textwrap.dedent("""
 """)
 
 
-def test_only_tree_loads_scipy_and_never_scipy_stats(tmp_path, tree_spec_path):
+def test_no_command_loads_scipy(tmp_path, tree_spec_path):
     # a fresh interpreter, so modules the test session imported do not count
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path), tree_spec_path],
@@ -175,7 +175,13 @@ def test_only_tree_loads_scipy_and_never_scipy_stats(tmp_path, tree_spec_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["status"] == [0] * 7
     assert seen["before_tree"] == []
-    assert "scipy.stats" not in seen["after_tree"]
+    assert seen["after_tree"] == []
+
+
+def test_no_module_imports_scipy():
+    modules = Path(cli.__file__).parent.glob("*.py")
+    assert [p.name for p in modules
+            if any(s in p.read_text() for s in ("import scipy", "from scipy"))] == []
 
 
 class TestConfigResolution:

@@ -189,9 +189,10 @@ def test_axis_vector_rejects_non_unit():
 
 
 @pytest.mark.parametrize("refused", [(0, 0, 1), np.array([0.0, 0.0, 1.0]), np.eye(2),
-                                     np.eye(3), "w", True])
+                                     np.eye(3), "w", True, pytest.param(10**400, id="10**400")])
 def test_only_names_and_angles_are_axes(refused):
-    # every entry point that takes an axis or a basis refuses 3-vectors and matrices
+    # every entry point that takes an axis or a basis refuses 3-vectors, matrices
+    # and numbers too large for a float
     qubit = tensor([make_qubit_state("s", 1, 0), ready_state("m", ("+", "-"))])
     for call in (lambda: axis_vector(refused), lambda: axis_basis(refused),
                  lambda: pauli(refused), lambda: premeasure(qubit, "s", refused, "m"),

@@ -184,13 +184,14 @@ def probability_rows(max_events=4, max_outcomes=5):
 class TestChiSquare:
     @settings(max_examples=200, deadline=None)
     @given(rows=probability_rows(), walkers=st.integers(1, 50000), seed=st.integers(0, 2**32))
-    def test_matches_scipy_bit_for_bit(self, rows, walkers, seed):
+    def test_matches_scipy(self, rows, walkers, seed):
         tree = build_tree(TreeSpec(tuple(TreeEvent(f"e{k}", tuple(r))
                                          for k, r in enumerate(rows))))
         assume(len(tree.paths) > 1)
         result = random_walk(tree, walkers, RngSpec(seed))
         want = stats.chisquare(result.counts, tree.probs * walkers).pvalue
-        assert np.float64(chi_square_pvalue(result)).tobytes() == np.float64(want).tobytes()
+        assume(want > 1e-290)
+        assert abs(chi_square_pvalue(result) - want) <= 1e-9 * want
 
     def test_zero_probability_leaves_left_out(self):
         spec = TreeSpec((TreeEvent("a", (1.0, 0.0)), TreeEvent("b", (0.25, 0.0, 0.75))))
@@ -223,6 +224,17 @@ class TestChiSquareTail:
         want = special.chdtrc(df, x)
         assume(want > 1e-290)
         assert abs(chi_square_tail(x, df) - want) <= 1e-9 * want
+
+    # the 6x3 tree, 2**16 leaves, and the largest tree the CLI fits: MAX_DRAWS
+    # walkers with MIN_EXPECTED on every leaf
+    @pytest.mark.parametrize("df", [728, 65535, 200000,
+                                    cli.MAX_DRAWS // cli.MIN_EXPECTED - 1])
+    def test_matches_scipy_up_to_the_largest_fitted_tree(self, df):
+        for z in (-5, -1, 0, 1, 3, 8, 20):
+            x = df + z * math.sqrt(2 * df)
+            want = special.chdtrc(df, x)
+            assert want > 1e-290
+            assert abs(chi_square_tail(x, df) - want) <= 1e-9 * want
 
 
 class TestRepeatedFrequency:
