@@ -37,7 +37,7 @@ from .rng import RngSpec
 from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_spec,
                     pearson_statistic, random_walk)
 
-__all__ = ["RunConfig", "UsageError", "run", "main"]
+__all__ = ["Records", "RunConfig", "UsageError", "run", "main"]
 
 COMMANDS = ("tree", "epr", "hulk", "ghz", "chsh", "enumerate")
 ENV_SEED = "MANYMINDS_SEED"
@@ -130,10 +130,11 @@ def _normal(name: str, estimate: float, expected: float, se: float, detail: str)
 def _run_tree(config: RunConfig):
     tree = build_tree(load_tree_spec(config.spec_path))
     result = random_walk(tree, config.minds, config.rng)
-    columns = (tree.path_texts(), result.counts.tolist(), tree.probs.tolist())
+    leaves = Records(("path", "count", "exact_prob"), ("leaf_path", "count", "exact_prob"),
+                     (tree.path_texts(), result.counts, tree.probs))
     payload = {
         "walkers": config.minds,
-        "leaves": [{"path": p, "count": c, "exact_prob": w} for p, c, w in zip(*columns)],
+        "leaves": leaves,
         "event_marginals": {e.event_id: result.event_marginal(e.event_id)
                             for e in tree.active_events},
     }
@@ -147,9 +148,7 @@ def _run_tree(config: RunConfig):
         stat = pearson_statistic(result.counts, tree.probs * config.minds)
         checks.append(_stochastic("chi_square_fit", stat, pvalue, "Pearson chi-square of "
                                   "the leaf counts against the exact probabilities"))
-    # csv.writer writes a float as its repr, so the table takes the texts as they are
-    table = zip(*columns[:2], _float_reprs(tree.probs))
-    return payload, checks, [["leaf_path", "count", "exact_prob"], *table]
+    return payload, checks, leaves
 
 
 def _run_epr(config: RunConfig):
@@ -393,6 +392,31 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return (0 if payload["all_checks_passed"] else 2), report
 
 
+@dataclass(frozen=True)
+class Records:
+    """At least one record of one key set as a column per key, a list of strings or a
+    numpy array of integers or finite floats, and no object per record: JSON writes the
+    list of objects ``json.dumps`` writes, CSV the table under ``titles``."""
+
+    keys: tuple[str, ...]
+    titles: tuple[str, ...]
+    columns: tuple
+
+    def cells(self, text=None) -> list[list[str]]:
+        """Each column as texts: numbers by ``_reprs``, strings through ``text`` if given."""
+        return [_reprs(c) if isinstance(c, np.ndarray) else [*map(text, c)] if text else c
+                for c in self.columns]
+
+
+def _interleave(columns, seps, last: str) -> str:
+    """Every row's cells in order, each followed by its separator; the final one by ``last``."""
+    parts = [part for sep in seps for part in (None, sep)] * len(columns[0])
+    for j, cells in enumerate(columns):
+        parts[2 * j::2 * len(seps)] = cells
+    parts[-1] = last
+    return "".join(parts)
+
+
 def render_json(report: dict) -> str:
     """Header and body byte for byte as ``json.dumps(indent=2, sort_keys=True)``
     writes them, without the pure-Python encoder that ``indent`` selects."""
@@ -402,67 +426,41 @@ def render_json(report: dict) -> str:
 def _encode(value, indent: str) -> str:
     """JSON text of ``value`` whose closing bracket sits at ``indent``; keys are strings."""
     inner = indent + "  "
+    if isinstance(value, Records):
+        keys, cells = zip(*sorted(zip(value.keys, value.cells(encode_basestring_ascii))))
+        names = [f"{inner}  {encode_basestring_ascii(k)}: " for k in keys]
+        seps = [",\n" + name for name in names[1:]] + [f"\n{inner}}},\n{inner}{{\n{names[0]}"]
+        return f"[\n{inner}{{\n{names[0]}" + _interleave(cells, seps, f"\n{inner}}}\n{indent}]")
     if isinstance(value, dict) and value:
         ends, items = "{}", (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
                              for k, v in sorted(value.items()))
     elif isinstance(value, (list, tuple)) and value:
-        ends, items = "[]", _items(value, inner)
+        ends, items = "[]", (_encode(v, inner) for v in value)
     else:  # scalars and empty containers
         return json.dumps(value)
     return "%s\n%s%s\n%s%s" % (ends[0], inner, (",\n" + inner).join(items), indent, ends[1])
 
 
-def _items(values, indent: str) -> list[str]:
-    """JSON text of each list item at ``indent``; column-wise for scalars or same-key dicts."""
-    same_size = set(map(type, values)) == {dict} and len(set(map(len, values))) == 1
-    keys = sorted(values[0]) if same_size else ()
-    try:
-        columns = [_column([row[k] for row in values]) for k in keys] or [_column(values)]
-    except KeyError:  # a row with another key set
-        columns = [None]
-    if None in columns:
-        return [_encode(v, indent) for v in values]
-    fields = (f"{indent}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
-    template = "{\n" + ",\n".join(fields) + "\n" + indent + "}" if keys else "%s"
-    return [template % cells for cells in zip(*columns)]
-
-
-def _column(values) -> list[str] | None:
-    """JSON text of each value, encoded once per type; None unless all are scalars."""
-    encoders = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
-                bool: json.dumps, type(None): json.dumps}  # json.dumps: true, null, NaN
-    types = set(map(type, values))
-    if not types <= encoders.keys():
-        return None
-    encode = encoders[types.pop()] if len(types) == 1 else json.dumps
-    if encode is not float.__repr__:
-        return list(map(encode, values))
-    finite = math.isfinite(sum(values))  # no nan or inf
-    return _float_reprs(values) if finite else list(map(json.dumps, values))
-
-
-def _float_reprs(values) -> list[str]:
-    """``repr`` of each float, computed once per distinct bit pattern (so -0.0 stays -0.0)."""
-    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64),
-                              return_inverse=True)
-    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+def _reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of each number of a numpy column, once per distinct bit pattern (-0.0 too)."""
+    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    texts = list(map(repr, bits.view(column.dtype).tolist()))
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def render_csv(report: dict) -> str:
     """Header fields as ``# key=value`` lines, then the table as ``csv.writer`` writes it:
-    a table of one width of two or more through one row template, unless a cell holds
-    a delimiter, a quote or a line break, or is None (written empty)."""
+    ``Records`` with no delimiter, quote or line break in a cell through one join."""
     buf = io.StringIO()
     for key in sorted(report["header"]):
         buf.write(f"# {key}={report['header'][key]}\n")
     table = report["_csv_table"]
-    if len(widths := set(map(len, table))) == 1 and (width := widths.pop()) > 1:
-        template = ",".join(["%s"] * width) + "\r\n"
-        text = "".join(map(template.__mod__, map(tuple, table)))
-        if (text.count(",") == len(table) * (width - 1) and '"' not in text and "None" not in text
-                and text.count("\r") == text.count("\n") == len(table)):
-            return buf.getvalue() + text
+    if isinstance(table, Records):
+        cols = [[title, *cells] for title, cells in zip(table.titles, table.cells())]
+        text = "".join(map("".join, cols))
+        if not any(mark in text for mark in ',"\r\n'):
+            return buf.getvalue() + _interleave(cols, [","] * (len(cols) - 1) + ["\r\n"], "\r\n")
+        table = zip(*cols)
     csv.writer(buf).writerows(table)
     return buf.getvalue()
 

@@ -207,7 +207,7 @@ def _count_minds(config: EprConfig, measured: BranchDecomposition,
                            tuple(map(len, labels)))
 
     n = 1 if config.policy is SINGLE_MIND else config.n_minds
-    return labels, config.rng.count_windows(n, count)
+    return labels, config.rng.count_windows(n, count).reshape(tuple(map(len, labels)))
 
 
 def run_epr(config: EprConfig, pair: StateVector | None = None) -> EprRun:
@@ -285,7 +285,7 @@ def chsh_monte_carlo(a, a_prime, b, b_prime, n_per_pair: int, rng: RngSpec) -> f
             sample_indices(rng.uniforms(stop - start, "chsh", k, start=start), p)
             for k, p in enumerate(probs)], (4, 4, 4, 4))
 
-    counts = rng.count_windows(n_per_pair, count)
+    counts = rng.count_windows(n_per_pair, count).reshape(4, 4, 4, 4)
     # a sum of n terms of +-1.0 is exact, so each term rounds once, as a mean of signs does
     terms = [counts.sum(axis=tuple({0, 1, 2, 3} - {k})) @ [1.0, -1.0, -1.0, 1.0] / n_per_pair
              for k in range(4)]

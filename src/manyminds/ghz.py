@@ -218,7 +218,7 @@ def simulate_scenarios(n_triples: int, rng: RngSpec) -> ScenarioSample:
             sample_indices(rng.uniforms(stop - start, "ghz", scen.index, start=start), p)
             for scen, p in zip(SCENARIOS, probs)], (4, 4, 4, 4))
 
-    counts = rng.count_windows(n_triples, count).ravel()
+    counts = rng.count_windows(n_triples, count)
     counts.flags.writeable = False
     return ScenarioSample(counts)
 

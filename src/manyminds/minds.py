@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -291,11 +292,10 @@ def mismatch_probability(policy: SamplingPolicy, decomp: BranchDecomposition,
 def count_off_support(decomp: BranchDecomposition,
                       labels: tuple[Sequence[str], Sequence[str]], table: np.ndarray) -> int:
     """How many pairs of a contingency ``table`` (rows ``labels[0]``, columns
-    ``labels[1]``) are not a branch of the two-subsystem ``decomp``, i.e. pair
-    minds that track different branches."""
+    ``labels[1]``, or those counts flat in row order) are not a branch of the
+    two-subsystem ``decomp``, i.e. pair minds that track different branches."""
     support = set(decomp.joint_distribution())
-    return sum(int(c) for (i, j), c in np.ndenumerate(table)
-               if (labels[0][i], labels[1][j]) not in support)
+    return sum(int(c) for pair, c in zip(product(*labels), np.ravel(table)) if pair not in support)
 
 
 def marginal_for(decomp: BranchDecomposition, observer: str) -> dict[str, float]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import atan2, cos, inf, isfinite, sin, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -93,11 +94,11 @@ class PhysicsAssertionError(RuntimeError):
 
 
 def axis_vector(axis) -> np.ndarray:
-    """Unit 3-vector for an axis: "x", "y", "z", or a finite angle in degrees
-    from +z, tilting toward +x in the x-z plane. Anything else is refused."""
+    """Unit 3-vector for an axis: "x", "y", "z", or a finite angle in degrees (a real
+    number, numpy's too, but no bool) from +z toward +x in the x-z plane; nothing else."""
     if isinstance(axis, str) and axis in _NAMED_VECTORS:
         return np.array(_NAMED_VECTORS[axis])
-    if isinstance(axis, (int, float)) and not isinstance(axis, bool):
+    if isinstance(axis, Real) and not isinstance(axis, bool):
         try:
             degrees = float(axis)
         except OverflowError:  # an int too large for a float

@@ -98,14 +98,14 @@ class RngSpec:
             return sum(pool.map(total, range(workers)))
 
 
-def code_counts(size: int, columns, shape: tuple) -> np.ndarray:
-    """Counts of the ``size`` rows of index columns, an array of ``shape`` with one
-    axis per column, through one mixed-radix code in the smallest type that holds
-    the product of ``shape``, so that every radix fits in it as well."""
-    code = np.zeros(size, np.min_scalar_type(math.prod(shape)))
-    for column, radix in zip(columns, shape):
+def code_counts(size: int, columns, radices: tuple) -> np.ndarray:
+    """Counts of the ``size`` rows of index columns, flat in the order of one mixed-radix
+    code (first column most significant, as ``reshape(radices)`` reads it) in the
+    smallest type that holds the product of ``radices``, so every radix fits in it too."""
+    code = np.zeros(size, np.min_scalar_type(math.prod(radices)))
+    for column, radix in zip(columns, radices):
         code = code * radix + column
-    return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
+    return np.bincount(code, minlength=math.prod(radices))
 
 
 def sample_indices(uniforms: np.ndarray, probs: np.ndarray, rows=0) -> np.ndarray:

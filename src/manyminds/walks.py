@@ -125,7 +125,8 @@ class Tree:
 def build_tree(spec: TreeSpec) -> Tree:
     active = [e for e in spec.events if not e.skip]
     if (n_leaves := math.prod(len(e.labels) for e in active)) > MAX_LEAVES:
-        raise ValueError(f"tree has {n_leaves} leaves, more than {MAX_LEAVES}")
+        leaves = n_leaves if n_leaves < 10**20 else f"{len(active)} events and over 10**20"
+        raise ValueError(f"tree has {leaves} leaves, more than {MAX_LEAVES}")
     probs = np.array([1.0])
     for event in active:
         probs = np.outer(probs, np.asarray(event.probs)).ravel()
@@ -152,10 +153,10 @@ class WalkResult:
         pos = next((i for i, e in enumerate(active) if e.event_id == event_id), None)
         if pos is None:
             raise KeyError(f"unknown event {event_id!r}")
-        # one row per outcome, holding its leaves in leaf order; a sequential
-        # cumsum adds each row's fractions in the order a loop over leaves would
-        radix = [len(e.labels) for e in active]
-        rows = np.moveaxis(self.counts.reshape(radix), pos, 0).reshape(radix[pos], -1)
+        # one row per outcome, its leaves in leaf order, from axes (before, event, after);
+        # a sequential cumsum adds each row's fractions in the order a loop over leaves would
+        k, after = len(active[pos].labels), math.prod(len(e.labels) for e in active[pos + 1:])
+        rows = self.counts.reshape(-1, k, after).swapaxes(0, 1).reshape(k, -1)
         sums = np.cumsum(rows / self.total, axis=1)[:, -1]
         return dict(zip(active[pos].labels, sums.tolist()))
 
@@ -172,7 +173,7 @@ def random_walk(tree: Tree, n_walkers: int, rng: RngSpec) -> WalkResult:
             sample_indices(rng.uniforms(stop - start, "tree", e.event_id, start=start), e.probs)
             for e in active], tuple(len(e.probs) for e in active))
 
-    return WalkResult(tree, rng.count_windows(n_walkers, count).ravel(), n_walkers)
+    return WalkResult(tree, rng.count_windows(n_walkers, count), n_walkers)
 
 
 def chi_square_pvalue(result: WalkResult) -> float:

@@ -61,6 +61,15 @@ class TestCommands:
         assert body["all_checks_passed"] is True
         assert sum(leaf["count"] for leaf in body["leaves"]) == 20000
 
+    def test_tree_of_65_one_outcome_events(self, tmp_path):
+        # exited 1 with numpy's "maximum supported dimension for an ndarray is 64"
+        spec = write_tree_spec(tmp_path, [[1.0]] * 65)
+        status, out = run_to_file(tmp_path, ["tree", "--spec", spec, "--minds", "100"])
+        assert status == 0
+        body = load(out)["body"]
+        assert body["leaves"] == [{"count": 100, "exact_prob": 1.0, "path": "/".join("1" * 65)}]
+        assert body["event_marginals"] == {f"t{k}": {"1": 1.0} for k in range(1, 66)}
+
     def test_epr_joint(self, tmp_path):
         status, out = run_to_file(tmp_path, ["epr", "--minds", "20000", "--seed", "5"])
         assert status == 0
@@ -429,6 +438,22 @@ def json_dumps_report(report):
                       indent=2, sort_keys=True) + "\n"
 
 
+def block_rows(block):
+    """The records of a ``cli.Records`` block as tuples of Python strings, ints and floats."""
+    return list(zip(*(c if isinstance(c, list) else c.tolist() for c in block.columns)))
+
+
+def materialised(report):
+    """The report with its ``cli.Records`` blocks as the list of dicts and the table of
+    rows that ``json.dumps`` and ``csv.writer`` take."""
+    body = {k: [dict(zip(v.keys, row)) for row in block_rows(v)]
+            if isinstance(v, cli.Records) else v for k, v in report["body"].items()}
+    table = report["_csv_table"]
+    if isinstance(table, cli.Records):
+        table = [list(table.titles), *block_rows(table)]
+    return {"header": report["header"], "body": body, "_csv_table": table}
+
+
 class TestRenderJson:
     @settings(max_examples=500, deadline=None)
     @given(header=st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3), body=JSON_VALUES)
@@ -445,15 +470,16 @@ class TestRenderJson:
         path = tmp_path / "tree.json"
         path.write_text(json.dumps({"events": [{"probs": [1 / 3, 2 / 3]}] * 16}))
         _, report = cli.run(cli.RunConfig(command="tree", minds=1000, spec_path=str(path)))
-        assert len(report["body"]["leaves"]) == 65536
-        want = json_dumps_report(report)
+        rows = materialised(report)
+        assert len(rows["body"]["leaves"]) == 65536
+        want = json_dumps_report(rows)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the pure-Python JSON encoder was entered")
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
         with pytest.raises(AssertionError, match="pure-Python"):
-            json_dumps_report(report)
+            json_dumps_report(rows)
         assert cli.render_json(report) == want
 
 
@@ -475,6 +501,17 @@ CSV_TABLES = st.one_of(
     st.integers(0, 4).flatmap(lambda w: st.lists(st.lists(CSV_CELLS, min_size=w, max_size=w),
                                                  max_size=5)),
     st.lists(CSV_ROWS, max_size=5))
+
+
+# small trees whose labels hold CSV and format punctuation, line breaks and non-ASCII
+# text; each event has 1 to 3 outcomes, some of probability 0
+TREE_LABELS = st.text(st.one_of(st.sampled_from(',"\r\n%\u00e9\u2603a'),
+                                st.characters(blacklist_characters="/")), max_size=3)
+TREE_EVENTS = st.lists(st.integers(1, 3).flatmap(lambda k: st.fixed_dictionaries({
+    "probs": st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any).map(
+        lambda w: [x / sum(w) for x in w]),
+    "labels": st.lists(TREE_LABELS, min_size=k, max_size=k, unique=True)})),
+    min_size=1, max_size=4)
 
 
 class TestOutputFormats:
@@ -502,9 +539,8 @@ class TestOutputFormats:
         _, report = cli.run(cli.RunConfig("tree", spec_path=spec, minds=minds, format="csv"))
         want = io.StringIO()
         want.writelines(f"# {k}={report['header'][k]}\n" for k in sorted(report["header"]))
-        csv.writer(want).writerows([["leaf_path", "count", "exact_prob"], *(
-            (leaf["path"], leaf["count"], leaf["exact_prob"])
-            for leaf in report["body"]["leaves"])])
+        csv.writer(want).writerows([["leaf_path", "count", "exact_prob"],
+                                    *block_rows(report["body"]["leaves"])])
         # lines, not one 3.8 MB string, so that a failure reports without a text diff
         assert cli.render_csv(report).splitlines() == want.getvalue().splitlines()
         assert ("-0.0" in want.getvalue()) == (minds == 10)
@@ -512,7 +548,7 @@ class TestOutputFormats:
     def test_tree_csv_never_enters_csv_writer(self, tmp_path, monkeypatch):
         spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 8)
         _, report = cli.run(cli.RunConfig("tree", spec_path=spec, minds=1000, format="csv"))
-        want = csv_writer_text(report)
+        want = csv_writer_text(materialised(report))
 
         def refuse(*args, **kwargs):
             raise AssertionError("csv.writer was entered")
@@ -528,6 +564,19 @@ class TestOutputFormats:
                                           format="csv"))
         body = cli.render_csv(report).split("\n", len(report["header"]))[-1]
         assert body == 'leaf_path,count,exact_prob\r\n"a,b",499,0.5\r\n"c""d",501,0.5\r\n'
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=TREE_EVENTS, minds=st.integers(1, 300))
+    def test_tree_leaves_render_as_json_dumps_and_csv_writer(self, tmp_path_factory, events,
+                                                              minds):
+        path = tmp_path_factory.mktemp("tree") / "tree.json"
+        path.write_text(json.dumps({"events": events}))
+        for fmt in ("json", "csv"):
+            _, report = cli.run(cli.RunConfig("tree", spec_path=str(path), minds=minds,
+                                              format=fmt))
+            rows = materialised(report)
+            assert cli.render_json(report) == json_dumps_report(rows)
+            assert cli.render_csv(report) == csv_writer_text(rows)
 
     @settings(max_examples=500, deadline=None)
     @given(header=st.dictionaries(st.text(max_size=3), CSV_CELLS, max_size=2), table=CSV_TABLES)

@@ -174,6 +174,7 @@ class TestRunEpr:
         decomp = BranchDecomposition(("alice", "bob"), ("z", "z"), (Branch(labels, 1.0, 1.0),))
         alice, bob = ensembles
         table = code_counts(n, [alice.assignments[0], bob.assignments[0]], (ka, kb))
+        table = table.reshape(ka, kb)
         got = _make_record((alice.outcome_labels[0], bob.outcome_labels[0]), table,
                            decomp).proportions
         assert got == {ens.observer: proportions(ens, "measure") for ens in ensembles}

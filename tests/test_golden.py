@@ -15,9 +15,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from manyminds import cli
+from manyminds.rng import RngSpec
+from manyminds.walks import build_tree, random_walk, tree_spec_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +65,18 @@ def test_body_matches_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
     want = (GOLDEN / f"{name}.{fmt}").read_text()
     assert render_body(name, fmt, tmp_path) == want
+
+
+def test_tree_marginals_stay_bit_equal():
+    # the golden marginals, and the sums over one axis per event that wrote them
+    result = random_walk(build_tree(tree_spec_from_json(TREE_SPEC)), 5000, RngSpec(3))
+    active = result.tree.active_events
+    axes = result.counts.reshape([len(e.labels) for e in active])
+    golden = json.loads((GOLDEN / "tree.json").read_text())["event_marginals"]
+    for pos, event in enumerate(active):
+        rows = np.moveaxis(axes, pos, 0).reshape(len(event.labels), -1)
+        want = dict(zip(event.labels, np.cumsum(rows / 5000, axis=1)[:, -1].tolist()))
+        assert result.event_marginal(event.event_id) == want == golden[event.event_id]
 
 
 def test_ghz_case_runs_the_cell_band_check():

@@ -101,8 +101,9 @@ def report_checks(ensembles, d):
     for ens in ensembles:
         own, seen = ens.event_index("measure"), ens.event_index("report")
         labels = (ens.outcome_labels[own], ens.outcome_labels[seen])
+        shape = tuple(map(len, labels))
         table = code_counts(ens.size, [ens.assignments[own], ens.assignments[seen]],
-                            tuple(map(len, labels)))
+                            shape).reshape(shape)
         tables[ens.observer] = (labels, table)
     return report_correlation(d, tables)
 

@@ -189,7 +189,8 @@ def test_axis_vector_rejects_non_unit():
 
 
 @pytest.mark.parametrize("refused", [(0, 0, 1), np.array([0.0, 0.0, 1.0]), np.eye(2),
-                                     np.eye(3), "w", True, pytest.param(10**400, id="10**400")])
+                                     np.eye(3), "w", True, np.bool_(True),
+                                     pytest.param(10**400, id="10**400")])
 def test_only_names_and_angles_are_axes(refused):
     # every entry point that takes an axis or a basis refuses 3-vectors, matrices
     # and numbers too large for a float
@@ -203,6 +204,13 @@ def test_only_names_and_angles_are_axes(refused):
                  lambda: EprConfig(RngSpec(1), bob_axis=refused)):
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("angle", [np.int64(45), np.uint8(45), np.float64(45), np.float32(45)])
+def test_numpy_numbers_are_angles(angle):
+    # np.int64 is no int subclass, and was refused while np.float64 was taken
+    assert np.array_equal(axis_vector(angle), axis_vector(45))
+    assert np.array_equal(axis_basis(angle), axis_basis(45))
 
 
 def test_tensor_product_amplitude():

@@ -178,9 +178,11 @@ class TestCodeCounts:
         columns = [np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
                               dtype=np.int16 if minds_columns else np.min_scalar_type(k - 1))
                    for k in shape]
-        table = code_counts(n, columns, tuple(shape))
+        flat = code_counts(n, columns, tuple(shape))
+        assert flat.shape == (math.prod(shape),)
+        table = flat.reshape(shape)
         seen = Counter(zip(*(c.tolist() for c in columns))) if shape else Counter({(): n})
-        assert table.shape == tuple(shape) and int(table.sum()) == n
+        assert int(table.sum()) == n
         cells = (np.unravel_index(k, table.shape) for k in np.flatnonzero(table))
         assert {tuple(map(int, c)): int(table[c]) for c in cells} == +seen
 
@@ -193,7 +195,7 @@ class TestCodeCounts:
         code = np.zeros(3000, np.int64)
         for column, radix in zip(columns, shape):
             code = code * radix + column
-        want = np.bincount(code, minlength=math.prod(shape)).reshape(shape)
+        want = np.bincount(code, minlength=math.prod(shape))
         assert np.array_equal(code_counts(3000, columns, shape), want)
 
 

@@ -94,6 +94,15 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="tree has 8 leaves, more than 6"):
             build_tree(TreeSpec(tuple(TreeEvent(f"e{k}", (0.5, 0.5)) for k in range(3))))
 
+    @pytest.mark.parametrize("events, count", [(66, "73786976294838206464"),
+                                               (67, "67 events and over 10\\*\\*20"),
+                                               (1000, "1000 events and over 10\\*\\*20")])
+    def test_leaf_cap_names_events_past_20_digits(self, events, count):
+        # a 1,000-event binary tree used to print its 302-digit leaf count
+        spec = TreeSpec(tuple(TreeEvent(f"e{k}", (0.5, 0.5)) for k in range(events)))
+        with pytest.raises(ValueError, match=f"^tree has {count} leaves, more than 4194304$"):
+            build_tree(spec)
+
     def test_duplicate_labels_rejected(self):
         # two leaves would share a path, and event_marginal would drop an outcome
         with pytest.raises(ValueError, match="duplicate labels"):
@@ -169,6 +178,18 @@ class TestRandomWalk:
             leaf = leaf * len(event.probs) + sample_indices(u, event.probs)
         want = np.bincount(leaf, minlength=math.prod(sizes))
         assert np.array_equal(random_walk(build_tree(spec), n, rng).counts, want)
+
+    def test_more_events_than_numpy_axes(self):
+        # 70 active events, two of them binary: counting and marginals used to take
+        # one array axis per event, and numpy refused the 65th
+        events = [TreeEvent(f"e{k}", (0.25, 0.75) if k in (3, 40) else (1.0,)) for k in range(70)]
+        res = random_walk(build_tree(TreeSpec(tuple(events))), 1000, RngSpec(4))
+        assert res.counts.size == 4 and res.counts.sum() == 1000
+        for pos, event in enumerate(events):
+            want = {label: 0.0 for label in event.labels}
+            for path, c in zip(res.tree.paths, res.counts):
+                want[path[pos]] += int(c) / res.total
+            assert list(res.event_marginal(event.event_id).items()) == list(want.items())
 
     def test_walk_rejects_zero_walkers(self):
         with pytest.raises(ValueError):
