@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
@@ -31,8 +31,7 @@ from . import SCHEMA_VERSION, __version__
 from . import epr as epr_mod
 from . import ghz as ghz_mod
 from .minds import JOINTLY_CORRELATED, SINGLE_MIND, SamplingPolicy, marginal_for
-from .quantum import (PhysicsAssertionError, axis_name, branch_decompose, partial_trace,
-                      trace_distance)
+from .quantum import PhysicsAssertionError, branch_decompose, partial_trace, trace_distance
 from .rng import RngSpec
 from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_spec,
                     pearson_statistic, random_walk)
@@ -142,8 +141,9 @@ def _run_tree(config: RunConfig):
         _check("leaf_probabilities_normalized", abs(float(tree.probs.sum()) - 1.0) < EXACT_TOL,
                f"sum {float(tree.probs.sum())!r}"),
     ]
-    # below the gate the chi-square law is no fit, so no p-value is computed or printed
-    if tree.probs[tree.probs > 0].min() * config.minds >= MIN_EXPECTED:
+    # below the gate, or with one leaf (df = 0), the chi-square law tests nothing
+    positive = tree.probs[tree.probs > 0]
+    if len(positive) > 1 and positive.min() * config.minds >= MIN_EXPECTED:
         payload["chi_square_pvalue"] = pvalue = chi_square_pvalue(result)
         stat = pearson_statistic(result.counts, tree.probs * config.minds)
         checks.append(_stochastic("chi_square_fit", stat, pvalue, "Pearson chi-square of "
@@ -169,16 +169,15 @@ def _run_epr(config: RunConfig):
                     for a in rows for b in cols) / rec.n_minds
 
     # moving Bob's axis must leave Alice's local state untouched
-    base = epr_mod.prepare_state(epr_mod.EprConfig(rng=config.rng,
-                                                   alice_axis=config.alice_axis,
-                                                   bob_axis="z"))
+    base = epr_mod.prepare_state(replace(ecfg, bob_axis="z"))
     dist = trace_distance(partial_trace(run.state, "alice"), partial_trace(base, "alice"))
 
     payload = {
-        "alice_axis": axis_name(config.alice_axis),
-        "bob_axis": axis_name(config.bob_axis),
+        "alice_axis": _axis_text(config.alice_axis),
+        "bob_axis": _axis_text(config.bob_axis),
         "communication": "performed" if reports_determined else "skipped",
-        "record": rec.to_dict(),
+        "record": {**asdict(rec), "proportions": {obs: {lab: str(f) for lab, f in p.items()}
+                                                  for obs, p in rec.proportions.items()}},
         "exact_correlation": exact,
         "empirical_pair_correlation": empirical,
         "alice_trace_distance_vs_z_bob": dist,
@@ -202,6 +201,10 @@ def _run_epr(config: RunConfig):
     table = [["alice_outcome", "bob_outcome", "count"]]
     table += [[a, b, rec.pair_count(a, b)] for a in rows for b in cols]
     return payload, checks, table
+
+
+def _axis_text(axis) -> str:
+    return axis if isinstance(axis, str) else f"{float(axis):g}deg"
 
 
 def _run_hulk(config: RunConfig):

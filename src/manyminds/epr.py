@@ -124,17 +124,6 @@ class RunRecord:
         j = self.pair_labels[1].index(b_label)
         return self.pair_counts[i][j]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_minds": self.n_minds,
-            "proportions": {obs: {lab: str(frac) for lab, frac in props.items()}
-                            for obs, props in self.proportions.items()},
-            "pair_labels": [list(self.pair_labels[0]), list(self.pair_labels[1])],
-            "pair_counts": [list(row) for row in self.pair_counts],
-            "mismatch_pairs": self.mismatch_pairs,
-            "report_consistent": self.report_consistent,
-        }
-
 
 @dataclass(frozen=True)
 class EprRun:

@@ -39,7 +39,6 @@ __all__ = [
     "DensityMatrix",
     "axis_vector",
     "axis_basis",
-    "axis_name",
     "pauli",
     "spin_product",
     "ready_state",
@@ -122,15 +121,6 @@ def axis_basis(axis) -> np.ndarray:
     plus = np.array([cos(theta / 2), sin(theta / 2) * np.exp(1j * phi)])
     minus = np.array([sin(theta / 2), -cos(theta / 2) * np.exp(1j * phi)])
     return np.column_stack([plus, minus])
-
-
-def axis_name(axis) -> str:
-    """Human-readable form of a basis choice, used in serialized reports."""
-    if axis is None:
-        return "label"
-    if isinstance(axis, str):
-        return axis
-    return f"{float(axis):g}deg"
 
 
 def pauli(axis) -> np.ndarray:
@@ -251,7 +241,6 @@ class BranchDecomposition:
     """Branches of a state relative to per-subsystem basis choices."""
 
     subsystems: tuple[str, ...]
-    bases: tuple[str, ...]
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
@@ -271,7 +260,6 @@ class BranchDecomposition:
 class DensityMatrix:
     """Reduced state of one subsystem: Hermitian, unit trace, PSD."""
 
-    subsystem: str
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -438,8 +426,7 @@ def branch_decompose(state: StateVector, contexts: dict) -> BranchDecomposition:
     amplitudes = np.where(single, picked, np.sqrt(kept))
     labels = itertools.compress(itertools.product(*sorted_labels), keep.tolist())
     branches = tuple(map(Branch, labels, amplitudes.tolist(), kept.tolist()))
-    bases = tuple(axis_name(contexts[name]) for name in names)
-    return BranchDecomposition(tuple(names), bases, branches)
+    return BranchDecomposition(tuple(names), branches)
 
 
 def expectation(state: StateVector, observable: Operator) -> float:
@@ -477,7 +464,7 @@ def partial_trace(state: StateVector, keep: str) -> DensityMatrix:
     axis = lay.axis(keep)
     moved = np.moveaxis(state.tensor_amps, axis, 0)
     flat = moved.reshape(lay.dims[axis], -1)
-    return DensityMatrix(keep, flat @ flat.conj().T)
+    return DensityMatrix(flat @ flat.conj().T)
 
 
 # ---------------------------------------------------------------------------

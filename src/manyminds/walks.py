@@ -61,8 +61,9 @@ class TreeEvent:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) < 1:
             raise ValueError(f"{self.event_id}: need at least one outcome")
-        if any(p < 0 for p in probs):
-            raise ValueError(f"{self.event_id}: negative probability")
+        if not all(math.isfinite(p) and p >= 0 for p in probs):
+            raise ValueError(f"{self.event_id}: probabilities must be finite and "
+                             f"non-negative, got {probs}")
         if abs(sum(probs) - 1.0) > ATOL:
             raise ValueError(f"{self.event_id}: probabilities sum to {sum(probs)}, expected 1")
         labels = self.labels

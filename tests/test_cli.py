@@ -69,6 +69,9 @@ class TestCommands:
         body = load(out)["body"]
         assert body["leaves"] == [{"count": 100, "exact_prob": 1.0, "path": "/".join("1" * 65)}]
         assert body["event_marginals"] == {f"t{k}": {"1": 1.0} for k in range(1, 66)}
+        # one leaf leaves the fit no degree of freedom, so nothing is tested
+        assert "chi_square_fit" not in [c["name"] for c in body["checks"]]
+        assert "chi_square_pvalue" not in body
 
     def test_epr_joint(self, tmp_path):
         status, out = run_to_file(tmp_path, ["epr", "--minds", "20000", "--seed", "5"])
@@ -78,6 +81,15 @@ class TestCommands:
         assert body["record"]["report_consistent"] is True
         assert body["record"]["pair_counts"][0][0] == 0
         assert body["record"]["pair_counts"][1][1] == 0
+
+    @pytest.mark.parametrize("axis, text", [("y", "y"), ("0", "0deg"), ("-45", "-45deg"),
+                                            ("1e-7", "1e-07deg"), ("360", "360deg"),
+                                            ("22.5", "22.5deg")])
+    def test_epr_axis_texts(self, tmp_path, axis, text):
+        status, out = run_to_file(tmp_path, ["epr", f"--alice-axis={axis}", "--minds", "1000"])
+        assert status == 0
+        body = load(out)["body"]
+        assert (body["alice_axis"], body["bob_axis"]) == (text, "z")
 
     def test_epr_independent_tilted(self, tmp_path):
         status, out = run_to_file(tmp_path, ["epr", "--minds", "5000", "--seed", "5",
@@ -307,6 +319,13 @@ class TestUsageErrors:
         spec = tmp_path / "tree.json"
         spec.write_text(json.dumps({"events": [{"id": "freq", "probs": [0.5, 0.5]}]}))
         assert run_to_file(tmp_path, ["tree", "--spec", str(spec)])[0] == 0
+
+    @pytest.mark.parametrize("prob", ["NaN", "Infinity"])
+    def test_non_finite_tree_probability_names_the_event(self, tmp_path, capsys, prob):
+        spec = tmp_path / "tree.json"
+        spec.write_text('{"events": [{"id": "odd", "probs": [%s, 1.0]}]}' % prob)
+        assert cli.main(["tree", "--spec", str(spec)]) == 1
+        assert "error: odd: probabilities must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["epr", "--bob-axis", "nan"], "--bob-axis"),

@@ -37,7 +37,7 @@ def band(p, n, sigmas=4):
 
 def decomp(subsystems, weights):
     branches = tuple(Branch(labels, math.sqrt(w), w) for labels, w in sorted(weights.items()))
-    return BranchDecomposition(tuple(subsystems), ("z",) * len(subsystems), branches)
+    return BranchDecomposition(tuple(subsystems), branches)
 
 
 SINGLET_Z = decomp(("alice", "bob"), {("+", "-"): 0.5, ("-", "+"): 0.5})

@@ -464,7 +464,7 @@ def test_partial_trace_unknown_subsystem():
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix("s", np.array([[0.5, 0.5], [0.0, 0.5]]))
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix("s", np.eye(2))
+        DensityMatrix(np.eye(2))
 

@@ -113,6 +113,12 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="'/'"):
             TreeEvent("a", (0.5, 0.5), ("a", "a/b"))
 
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_probability_names_the_event(self, probs):
+        # NaN passed both the sign and the sum test, and the tree's probs summed to nan
+        with pytest.raises(ValueError, match="^odd: probabilities must be finite"):
+            TreeEvent("odd", probs)
+
     def test_invalid_vectors_rejected(self):
         with pytest.raises(ValueError):
             TreeEvent("bad", (0.5, 0.4))
