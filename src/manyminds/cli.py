@@ -1,15 +1,15 @@
 """Command-line driver: configured experiments with machine-readable reports.
 
 Each invocation runs one experiment and emits a report with a header
-(command, seed, sizes, policy, tool and schema versions, timestamp) and a
-body. Bodies are deterministic functions of the configuration: re-running
-with the same seed and config reproduces them byte for byte regardless of
---threads. Exit status is 0 on success, 1 on usage errors, and 2 when a
+(command, n, seed, threads, policy for epr and hulk only, tool and schema
+versions, timestamp) and a body. Bodies are deterministic functions of the
+configuration: re-running with the same seed and config reproduces them byte
+for byte regardless of --threads. Exit status is 0 on success, 1 on usage errors, and 2 when a
 physics check fails (a correct run fails a sampled check with chance at most ALPHA).
 
-Configuration comes from a JSON file (--config) with individual flags taking
-precedence; the seed may also come from the MANYMINDS_SEED environment
-variable and is always echoed into the report header.
+Each command accepts only the flags and config-file keys it reads; flags take
+precedence over the config file (--config). The seed may also come from the
+MANYMINDS_SEED environment variable and is always echoed into the report header.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import combinations
@@ -38,7 +39,6 @@ from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_sp
 
 __all__ = ["Records", "RunConfig", "UsageError", "run", "main"]
 
-COMMANDS = ("tree", "epr", "hulk", "ghz", "chsh", "enumerate")
 ENV_SEED = "MANYMINDS_SEED"
 ALPHA = 1e-4  # family-wise false-alarm rate of one report's stochastic checks
 EXACT_TOL = 1e-9
@@ -49,8 +49,6 @@ MIN_EXPECTED = 100
 # not grow with a run (it is counted in windows of rng.CHUNK draws), so this
 # bounds only its length, and longer runs are refused before anything runs
 MAX_DRAWS = 2**25
-# the RunConfig field that sets each sampling command's number of draws per stream
-_DRAWS = {"tree": "minds", "epr": "minds", "hulk": "trials", "ghz": "minds", "chsh": "trials"}
 
 
 class UsageError(ValueError):
@@ -74,7 +72,7 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
         for flag, value, low in (("--seed", self.seed, 0), ("--minds", self.minds, 1),
                                  ("--trials", self.trials, 1), ("--threads", self.threads, 1)):
@@ -92,13 +90,14 @@ class RunConfig:
             raise UsageError(f"--axes needs 4 entries, got {len(self.axes)}")
         n = self.draws
         if n > MAX_DRAWS:
-            raise UsageError(f"--{_DRAWS[self.command]} {n} asks for {n:,} draws per stream; "
-                             f"a run has at most {MAX_DRAWS:,} draws")
+            raise UsageError(f"--{_COMMANDS[self.command].draws} {n} asks for {n:,} draws "
+                             f"per stream; a run has at most {MAX_DRAWS:,} draws")
 
     @property
     def draws(self) -> int:
         """The header's n: draws per random stream, or enumerate's 64 assignments."""
-        return getattr(self, _DRAWS[self.command]) if self.command in _DRAWS else 64
+        field = _COMMANDS[self.command].draws
+        return getattr(self, field) if field else 64
 
     @property
     def rng(self) -> RngSpec:
@@ -351,13 +350,28 @@ def _run_enumerate(config: RunConfig):
     return payload, checks, table
 
 
-_RUNNERS = {
-    "tree": _run_tree,
-    "epr": _run_epr,
-    "hulk": _run_hulk,
-    "ghz": _run_ghz,
-    "chsh": _run_chsh,
-    "enumerate": _run_enumerate,
+@dataclass(frozen=True)
+class _Command:
+    runner: object
+    help: str
+    draws: str | None  # the setting that holds the draws per stream
+    reads: tuple[str, ...] = ()  # settings it reads besides draws, seed, threads, out, format
+
+    @property
+    def settings(self) -> tuple[str, ...]:  # all a flag or a config key may set
+        return ("seed", "threads", "out", "format", *filter(None, [self.draws]), *self.reads)
+
+
+_COMMANDS = {
+    "tree": _Command(_run_tree, "random walk over a branching measurement tree", "minds",
+                     ("spec",)),
+    "epr": _Command(_run_epr, "two-wing singlet run with communication step", "minds",
+                    ("policy", "alice_axis", "bob_axis")),
+    "hulk": _Command(_run_hulk, "single-mind mismatch probability demonstration", "trials",
+                     ("policy",)),
+    "ghz": _Command(_run_ghz, "three-particle constraints, cells and sign flips", "minds"),
+    "chsh": _Command(_run_chsh, "Bell-type combination, exact and sampled", "trials", ("axes",)),
+    "enumerate": _Command(_run_enumerate, "brute-force the 64 local +-1 assignments", None),
 }
 
 
@@ -366,10 +380,11 @@ _RUNNERS = {
 
 
 def _header(config: RunConfig) -> dict:
+    policy = {"policy": config.policy} if "policy" in _COMMANDS[config.command].reads else {}
     return {
+        **policy,
         "command": config.command,
         "n": config.draws,
-        "policy": config.policy,
         "schema_version": SCHEMA_VERSION,
         "seed": config.seed,
         "seed_source": config.seed_source,
@@ -381,7 +396,7 @@ def _header(config: RunConfig) -> dict:
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one experiment; returns (exit status, full report dict)."""
-    payload, checks, table = _RUNNERS[config.command](config)
+    payload, checks, table = _COMMANDS[config.command].runner(config)
     # Sidak split: each of k stochastic checks runs at level 1 - (1 - ALPHA)^(1/k),
     # so a correct program fails any of them with probability at most ALPHA
     stochastic = [c for c in checks if "p_value" in c]
@@ -491,48 +506,28 @@ def _parse_axis(value, flag: str):
     return degrees
 
 
+# argparse options of each setting's flag, named --setting with "-" for "_"
+_FLAGS = {"seed": {"type": int}, "threads": {"type": int}, "out": {},
+          "format": {"choices": ("json", "csv")}, "minds": {"type": int}, "trials": {"type": int},
+          "policy": {"choices": ("independent", "joint")}, "spec": {"help": "tree spec JSON file"},
+          "alice_axis": {"help": "x, y, z or degrees"}, "bob_axis": {"help": "x, y, z or degrees"},
+          "axes": {"nargs": 4, "metavar": ("A", "AP", "B", "BP"),
+                   "help": "four axes (x, y, z or degrees)"}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="manyminds", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"manyminds {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, help_text in (
-        ("tree", "random walk over a branching measurement tree"),
-        ("epr", "two-wing singlet run with communication step"),
-        ("hulk", "single-mind mismatch probability demonstration"),
-        ("ghz", "three-particle constraints, cells and sign flips"),
-        ("chsh", "Bell-type combination, exact and sampled"),
-        ("enumerate", "brute-force the 64 local +-1 assignments"),
-    ):
-        p = sub.add_parser(name, help=help_text, parents=[_common_flags()])
-        if name == "tree":
-            p.add_argument("--spec", help="tree spec JSON file")
-        if name == "epr":
-            p.add_argument("--alice-axis", help="x, y, z or degrees")
-            p.add_argument("--bob-axis", help="x, y, z or degrees")
-        if name == "chsh":
-            p.add_argument("--axes", nargs=4, metavar=("A", "AP", "B", "BP"),
-                           help="four axes (x, y, z or degrees)")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key in command.settings:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--minds", type=int)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
-    common.add_argument("--policy", choices=("independent", "joint"))
-    common.add_argument("--out")
-    common.add_argument("--format", choices=("json", "csv"))
-    return common
-
-
-_CONFIG_KEYS = {"command", "minds", "trials", "seed", "threads", "policy",
-                "alice_axis", "bob_axis", "axes", "spec", "out", "format"}
-
-
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -542,14 +537,14 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {"command", *_COMMANDS[command].settings}
     if unknown:
         raise UsageError(f"config {path!r} has unknown keys: {sorted(unknown)}")
     return data
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg = _load_config_file(args.config, args.command) if args.config else {}
     if "command" in file_cfg and file_cfg["command"] != args.command:
         raise UsageError(f"config names command {file_cfg['command']!r} "
                          f"but {args.command!r} was invoked")
@@ -588,6 +583,8 @@ def main(argv=None) -> int:
         return 1
     try:
         config = _resolve(args)
+        if config.out:  # an unwritable path fails before the run; "a" truncates nothing
+            open(config.out, "a").close()
         status, report = run(config)
     except (ValueError, OSError, KeyError) as exc:  # UsageError is a ValueError
         print(f"manyminds: error: {exc}", file=sys.stderr)
@@ -597,11 +594,8 @@ def main(argv=None) -> int:
         return 2
 
     text = render_json(report) if config.format == "json" else render_csv(report)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(config.out, "w") if config.out else nullcontext(sys.stdout) as fh:
+        fh.write(text)
     if status != 0:
         failed = [c["name"] for c in report["body"]["checks"] if not c["passed"]]
         print(f"manyminds: physics check failed: {', '.join(failed)}", file=sys.stderr)

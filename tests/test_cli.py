@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,58 @@ class TestConfigResolution:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+# the flags each command takes besides --config, --seed, --threads, --out and --format
+OWN_FLAGS = {"tree": ["--minds", "10", "--spec", "tree.json"],
+             "epr": ["--minds", "10", "--policy", "joint", "--alice-axis", "x", "--bob-axis", "45"],
+             "hulk": ["--trials", "10", "--policy", "joint"],
+             "ghz": ["--minds", "10"],
+             "chsh": ["--trials", "10", "--axes", "0", "90", "45", "-45"],
+             "enumerate": []}
+
+
+class TestCommandSettings:
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    def test_every_own_flag_parses(self, command):
+        argv = [command, "--config", "c.json", "--seed", "1", "--threads", "2", "--out", "r.csv",
+                "--format", "csv", *OWN_FLAGS[command]]
+        assert cli.build_parser().parse_args(argv).command == command
+
+    @pytest.mark.parametrize("command, flag", [
+        ("tree", "--trials"), ("tree", "--policy"), ("epr", "--trials"), ("hulk", "--minds"),
+        ("ghz", "--trials"), ("ghz", "--policy"), ("chsh", "--minds"), ("chsh", "--policy"),
+        ("enumerate", "--minds"), ("enumerate", "--trials"), ("enumerate", "--policy")])
+    def test_flag_the_command_does_not_read_exits_one(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, "joint" if flag == "--policy" else "5"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("ghz", {"trials": 5}), ("epr", {"axes": [0, 90, 45, -45]}), ("hulk", {"minds": 5}),
+        ("chsh", {"policy": "joint"}), ("tree", {"alice_axis": "x"}), ("enumerate", {"spec": "t"})])
+    def test_config_key_the_command_does_not_read_exits_one(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert f"unknown keys: {list(cfg)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["tree", "--minds", "100"], ["epr", "--minds", "100"],
+                                      ["hulk", "--trials", "100"], ["ghz", "--minds", "100"],
+                                      ["chsh", "--trials", "100"], ["enumerate"]],
+                             ids=lambda argv: argv[0])
+    def test_header_names_a_policy_only_for_epr_and_hulk(self, tmp_path, tree_spec_path, argv):
+        spec = ["--spec", tree_spec_path] if argv[0] == "tree" else []
+        for fmt in ("json", "csv"):
+            status, out = run_to_file(tmp_path, argv + spec + ["--format", fmt])
+            assert status == 0
+            text = out.read_text()
+            header = load(out)["header"] if fmt == "json" else dict(
+                line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+            policy = {"epr": "joint", "hulk": "independent"}.get(argv[0])
+            assert header.get("policy") == policy
+            assert {"command", "n", "seed", "seed_source", "threads"} <= set(header)
+
+
 class TestUsageErrors:
     def test_zero_minds(self, tree_spec_path):
         assert cli.main(["tree", "--spec", tree_spec_path, "--minds", "0"]) == 1
@@ -285,6 +338,24 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert cli.main([]) == 1
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_out_refused_before_the_run(self, tmp_path, monkeypatch, capsys, where):
+        out = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
+        ran = []
+        monkeypatch.setattr(cli, "run", ran.append)
+        assert cli.main(["enumerate", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("manyminds: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and str(out) in err
+        assert ran == []
+
+    def test_out_kept_when_the_run_fails(self, tmp_path, capsys):
+        spec, out = tmp_path / "bad.json", tmp_path / "report.json"
+        spec.write_text("{not json")
+        out.write_text("earlier report")
+        assert cli.main(["tree", "--spec", str(spec), "--out", str(out)]) == 1
+        assert out.read_text() == "earlier report"
 
     def test_bad_axis(self, capsys):
         assert cli.main(["epr", "--alice-axis", "sideways"]) == 1
@@ -420,7 +491,8 @@ class TestPhysicsFailureExit:
             checks = [cli._check("impossible", False, "forced failure for plumbing test")]
             return payload, checks, [["k", "v"]]
 
-        monkeypatch.setitem(cli._RUNNERS, "enumerate", broken)
+        monkeypatch.setitem(cli._COMMANDS, "enumerate",
+                            replace(cli._COMMANDS["enumerate"], runner=broken))
         status, out = run_to_file(tmp_path, ["enumerate"])
         assert status == 2
         assert load(out)["body"]["all_checks_passed"] is False
@@ -683,7 +755,8 @@ class TestStochasticChecks:
             return {}, checks + [cli._check("exact", True, "")], [["k", "v"]]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(cli._RUNNERS, "enumerate", sampled)
+            mp.setitem(cli._COMMANDS, "enumerate",
+                       replace(cli._COMMANDS["enumerate"], runner=sampled))
             status, report = cli.run(cli.RunConfig("enumerate"))
         checks = report["body"]["checks"]
         assert checks[-1] == {"name": "exact", "passed": True, "detail": ""}
