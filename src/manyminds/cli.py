@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -23,7 +22,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -63,7 +63,7 @@ class RunConfig:
     threads: int = 1
     minds: int = 10000
     trials: int = 100000
-    policy: str = "joint"
+    policy: str | None = None  # None: independent for hulk, joint for every other command
     alice_axis: object = "z"
     bob_axis: object = "z"
     axes: tuple = epr_mod.DEFAULT_CHSH_AXES
@@ -80,6 +80,8 @@ class RunConfig:
                 raise UsageError(f"{flag} must be an integer >= {low}, got {value!r}")
         if not all(isinstance(v, (str, type(None))) for v in (self.spec_path, self.out)):
             raise UsageError(f"--spec/--out must be file names: {self.spec_path!r}, {self.out!r}")
+        if self.policy is None:
+            object.__setattr__(self, "policy", "independent" if self.command == "hulk" else "joint")
         if self.policy not in ("independent", "joint"):
             raise UsageError(f"--policy must be independent or joint, got {self.policy!r}")
         if self.format not in ("json", "csv"):
@@ -129,7 +131,7 @@ def _run_tree(config: RunConfig):
     tree = build_tree(load_tree_spec(config.spec_path))
     result = random_walk(tree, config.minds, config.rng)
     leaves = Records(("path", "count", "exact_prob"), ("leaf_path", "count", "exact_prob"),
-                     (tree.path_texts(), result.counts, tree.probs))
+                     (tree.path_halves(), result.counts, tree.probs))
     payload = {
         "walkers": config.minds,
         "leaves": leaves,
@@ -412,75 +414,87 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 @dataclass(frozen=True)
 class Records:
-    """At least one record of one key set as a column per key, a list of strings or a
-    numpy array of integers or finite floats, and no object per record: JSON writes the
-    list of objects ``json.dumps`` writes, CSV the table under ``titles``."""
+    """At least one record of one key set as a column per key, and no object per record:
+    a numpy array of integers or finite floats, or a pair ``(heads, tails)`` of text lists
+    whose record ``i * len(tails) + j`` is ``heads[i] + tails[j]``. JSON writes the list
+    of objects ``json.dumps`` writes, CSV the table under ``titles``."""
 
     keys: tuple[str, ...]
     titles: tuple[str, ...]
     columns: tuple
 
-    def cells(self, text=None) -> list[list[str]]:
-        """Each column as texts: numbers by ``_reprs``, strings through ``text`` if given."""
-        return [_reprs(c) if isinstance(c, np.ndarray) else [*map(text, c)] if text else c
-                for c in self.columns]
+
+def _pieces(column, text=None) -> list[list[str]]:
+    """Record-long lists of texts that join to each record's cell. Numbers are ``repr``
+    once per distinct bit pattern (-0.0 too); a pair is each head per tail, then the tails,
+    each half through ``text`` once if given."""
+    if isinstance(column, np.ndarray):
+        bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        texts = list(map(repr, bits.view(column.dtype).tolist()))
+        return [list(map(texts.__getitem__, inverse.tolist()))]
+    heads, tails = ([*map(text, half)] for half in column) if text else column
+    return [[*chain.from_iterable(map(repeat, heads, repeat(len(tails))))], tails * len(heads)]
 
 
-def _interleave(columns, seps, last: str) -> str:
-    """Every row's cells in order, each followed by its separator; the final one by ``last``."""
-    parts = [part for sep in seps for part in (None, sep)] * len(columns[0])
-    for j, cells in enumerate(columns):
-        parts[2 * j::2 * len(seps)] = cells
+def _interleave(parts: list, row: list, last: str) -> None:
+    """Append to ``parts`` each record's text of every record-long list in ``row`` and
+    every separator text between them, in order; the final separator is ``last``."""
+    parts += chain.from_iterable(zip(*(x if isinstance(x, list) else repeat(x) for x in row)))
     parts[-1] = last
-    return "".join(parts)
 
 
 def render_json(report: dict) -> str:
     """Header and body byte for byte as ``json.dumps(indent=2, sort_keys=True)``
     writes them, without the pure-Python encoder that ``indent`` selects."""
-    return _encode({"header": report["header"], "body": report["body"]}, "") + "\n"
+    parts = []
+    _encode({"header": report["header"], "body": report["body"]}, "", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _encode(value, indent: str) -> str:
-    """JSON text of ``value`` whose closing bracket sits at ``indent``; keys are strings."""
+def _encode(value, indent: str, parts: list) -> None:
+    """Append to ``parts`` the JSON text of ``value`` (string keys), closing at ``indent``."""
     inner = indent + "  "
-    if isinstance(value, Records):
-        keys, cells = zip(*sorted(zip(value.keys, value.cells(encode_basestring_ascii))))
-        names = [f"{inner}  {encode_basestring_ascii(k)}: " for k in keys]
-        seps = [",\n" + name for name in names[1:]] + [f"\n{inner}}},\n{inner}{{\n{names[0]}"]
-        return f"[\n{inner}{{\n{names[0]}" + _interleave(cells, seps, f"\n{inner}}}\n{indent}]")
+    if isinstance(value, Records):  # a string's quotes go in the separators around it
+        row, end = [], ""
+        for key, column in sorted(zip(value.keys, value.columns)):  # keys are unique
+            quote = "" if isinstance(column, np.ndarray) else '"'
+            row += [f"{end}{inner}  {encode_basestring_ascii(key)}: {quote}",
+                    *_pieces(column, lambda s: encode_basestring_ascii(s)[1:-1])]
+            end = quote + ",\n"
+        end = f"{quote}\n{inner}}}"
+        parts.append(f"[\n{inner}{{\n{row[0]}")
+        _interleave(parts, [*row[1:], f"{end},\n{inner}{{\n{row[0]}"], f"{end}\n{indent}]")
+        return
     if isinstance(value, dict) and value:
-        ends, items = "{}", (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
-                             for k, v in sorted(value.items()))
+        ends, items = "{}", [(f"{encode_basestring_ascii(k)}: ", v)
+                             for k, v in sorted(value.items())]
     elif isinstance(value, (list, tuple)) and value:
-        ends, items = "[]", (_encode(v, inner) for v in value)
+        ends, items = "[]", [("", v) for v in value]
     else:  # scalars and empty containers
-        return json.dumps(value)
-    return "%s\n%s%s\n%s%s" % (ends[0], inner, (",\n" + inner).join(items), indent, ends[1])
-
-
-def _reprs(column: np.ndarray) -> list[str]:
-    """``repr`` of each number of a numpy column, once per distinct bit pattern (-0.0 too)."""
-    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    texts = list(map(repr, bits.view(column.dtype).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
+        parts.append(json.dumps(value))
+        return
+    for k, (key, item) in enumerate(items):
+        parts.append(f"{',' if k else ends[0]}\n{inner}{key}")
+        _encode(item, inner, parts)
+    parts.append(f"\n{indent}{ends[1]}")
 
 
 def render_csv(report: dict) -> str:
     """Header fields as ``# key=value`` lines, then the table as ``csv.writer`` writes it:
-    ``Records`` with no delimiter, quote or line break in a cell through one join."""
-    buf = io.StringIO()
-    for key in sorted(report["header"]):
-        buf.write(f"# {key}={report['header'][key]}\n")
+    ``Records`` with no delimiter, quote or line break in a title or half through one join."""
+    parts = [f"# {key}={report['header'][key]}\n" for key in sorted(report["header"])]
     table = report["_csv_table"]
     if isinstance(table, Records):
-        cols = [[title, *cells] for title, cells in zip(table.titles, table.cells())]
-        text = "".join(map("".join, cols))
-        if not any(mark in text for mark in ',"\r\n'):
-            return buf.getvalue() + _interleave(cols, [","] * (len(cols) - 1) + ["\r\n"], "\r\n")
-        table = zip(*cols)
-    csv.writer(buf).writerows(table)
-    return buf.getvalue()
+        halves = [t for c in table.columns if not isinstance(c, np.ndarray) for x in c for t in x]
+        if set(',"\r\n').isdisjoint("".join([*table.titles, *halves])):
+            parts.append(",".join(table.titles) + "\r\n")
+            row = [texts for column in table.columns for texts in (*_pieces(column), ",")]
+            _interleave(parts, [*row[:-1], "\r\n"], "\r\n")
+            return "".join(parts)
+        table = [table.titles, *zip(*(map("".join, zip(*_pieces(c))) for c in table.columns))]
+    csv.writer(SimpleNamespace(write=parts.append)).writerows(table)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +563,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"config names command {file_cfg['command']!r} "
                          f"but {args.command!r} was invoked")
 
-    settings = {"policy": "independent"} if args.command == "hulk" else {}
+    settings = {}
     flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
     # the variable is read only when no flag or config sets the seed
     if os.environ.get(ENV_SEED) and "seed" not in file_cfg and "seed" not in flags:
@@ -583,8 +597,11 @@ def main(argv=None) -> int:
         return 1
     try:
         config = _resolve(args)
-        if config.out:  # an unwritable path fails before the run; "a" truncates nothing
-            open(config.out, "a").close()
+        if config.out:  # an unwritable path fails before the run and leaves no new file
+            made = not os.path.exists(config.out)
+            open(config.out, "a").close()  # "a" truncates nothing
+            if made:
+                os.remove(config.out)
         status, report = run(config)
     except (ValueError, OSError, KeyError) as exc:  # UsageError is a ValueError
         print(f"manyminds: error: {exc}", file=sys.stderr)

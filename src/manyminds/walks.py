@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -112,15 +112,13 @@ class Tree:
     def paths(self) -> tuple[tuple[str, ...], ...]:
         return tuple(product(*(e.labels for e in self.active_events)))
 
-    def path_texts(self) -> list[str]:
-        """``"/".join`` of each of ``paths``: each text of the first half of the
-        events, in order, followed by each text of the second half."""
+    def path_halves(self) -> tuple[list[str], list[str]]:
+        """``paths`` joined by ``/`` as two halves: record ``i * len(tails) + j`` is
+        ``heads[i] + tails[j]``; each head ends in ``/``, or is the one ``""`` below two events."""
         labels = [e.labels for e in self.active_events]
-        half = len(labels) // 2  # no first half below two events
+        half = len(labels) // 2
         heads, tails = ([*map("/".join, product(*side))] for side in (labels[:half], labels[half:]))
-        if not half:
-            return tails
-        return [*chain.from_iterable(map((h + "/").__add__, tails) for h in heads)]
+        return [h + "/" for h in heads] if half else [""], tails
 
 
 def build_tree(spec: TreeSpec) -> Tree:
@@ -285,5 +283,9 @@ def tree_spec_from_json(data: dict) -> TreeSpec:
 
 def load_tree_spec(path) -> TreeSpec:
     with open(path) as fh:
-        return tree_spec_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"tree spec {path!r} is not valid JSON: {exc}") from None
+    return tree_spec_from_json(data)
 

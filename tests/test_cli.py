@@ -323,6 +323,13 @@ class TestCommandSettings:
             assert header.get("policy") == policy
             assert {"command", "n", "seed", "seed_source", "threads"} <= set(header)
 
+    def test_hulk_runs_one_default_policy_in_process_and_from_the_cli(self, tmp_path):
+        status, out = run_to_file(tmp_path, ["hulk", "--trials", "1000", "--seed", "5"])
+        _, report = cli.run(cli.RunConfig("hulk", trials=1000, seed=5))
+        assert status == 0
+        assert load(out)["header"]["policy"] == report["header"]["policy"] == "independent"
+        assert load(out)["body"] == json.loads(cli.render_json(report))["body"]
+
 
 class TestUsageErrors:
     def test_zero_minds(self, tree_spec_path):
@@ -356,6 +363,21 @@ class TestUsageErrors:
         out.write_text("earlier report")
         assert cli.main(["tree", "--spec", str(spec), "--out", str(out)]) == 1
         assert out.read_text() == "earlier report"
+
+    def test_out_made_for_a_failing_run_is_removed(self, tmp_path, capsys):
+        spec, out = tmp_path / "bad.json", tmp_path / "new.json"
+        spec.write_text("{not json")
+        assert cli.main(["tree", "--spec", str(spec), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff{}"], ids=["syntax", "not_utf8"])
+    def test_tree_spec_that_is_not_json_names_its_path(self, tmp_path, capsys, content):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(content)
+        assert cli.main(["tree", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"manyminds: error: tree spec {str(spec)!r} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_bad_axis(self, capsys):
         assert cli.main(["epr", "--alice-axis", "sideways"]) == 1
@@ -531,7 +553,8 @@ def json_dumps_report(report):
 
 def block_rows(block):
     """The records of a ``cli.Records`` block as tuples of Python strings, ints and floats."""
-    return list(zip(*(c if isinstance(c, list) else c.tolist() for c in block.columns)))
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray)
+                      else [h + t for h in c[0] for t in c[1]] for c in block.columns)))
 
 
 def materialised(report):
@@ -572,6 +595,23 @@ class TestRenderJson:
         with pytest.raises(AssertionError, match="pure-Python"):
             json_dumps_report(rows)
         assert cli.render_json(report) == want
+
+    def test_tree_leaves_are_held_as_halves_and_joined_once(self, tmp_path):
+        # the run holds 2 x 256 path halves, not 65,536 path texts, and the body is one join
+        spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 16)
+        config = cli.RunConfig("tree", spec_path=spec, minds=1000)
+        cli.run(config)
+        tracemalloc.start()
+        try:
+            _, report = cli.run(config)
+            retained = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = cli.render_json(report)
+            peak = tracemalloc.get_traced_memory()[1] - retained
+        finally:
+            tracemalloc.stop()
+        assert retained < 2e6
+        assert peak <= 2 * len(text)
 
 
 def csv_writer_text(report):

@@ -81,11 +81,13 @@ class TestBuildTree:
             f"e{k}", (1 / len(labels),) * len(labels), tuple(labels))
             for k, labels in enumerate(slots))
         tree = build_tree(TreeSpec(events))
-        assert tree.path_texts() == ["/".join(p) for p in tree.paths]
+        heads, tails = tree.path_halves()
+        assert [h + t for h in heads for t in tails] == ["/".join(p) for p in tree.paths]
+        assert heads == [""] if len(tree.active_events) < 2 else all(h[-1] == "/" for h in heads)
 
     def test_no_active_event_has_one_empty_path(self):
         tree = build_tree(TreeSpec((SKIP, SKIP)))
-        assert tree.path_texts() == [""]
+        assert tree.path_halves() == ([""], [""])
         assert tree.paths == ((),)
 
     def test_leaf_cap(self, monkeypatch):
