@@ -547,7 +547,7 @@ def _load_config_file(path: str, command: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import atan2, cos, inf, isfinite, sin, sqrt
+from math import cos, inf, isfinite, sin, sqrt
 from numbers import Real
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,11 +118,8 @@ def axis_basis(axis) -> np.ndarray:
     for name, nvec in _NAMED_VECTORS.items():
         if np.allclose(vec, nvec, atol=1e-12):
             return _NAMED_BASES[name].copy()
-    theta = atan2(np.hypot(vec[0], vec[1]), vec[2])
-    phi = atan2(vec[1], vec[0])
-    plus = np.array([cos(theta / 2), sin(theta / 2) * np.exp(1j * phi)])
-    minus = np.array([sin(theta / 2), -cos(theta / 2) * np.exp(1j * phi)])
-    return np.column_stack([plus, minus])
+    half = np.deg2rad(float(axis)) / 2
+    return np.array([[cos(half), sin(half)], [sin(half), -cos(half)]], dtype=complex)
 
 
 def pauli(axis) -> np.ndarray:
@@ -227,8 +226,7 @@ def spin_product(axes_by_name: dict) -> Operator:
     return Operator(names, mat)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One outcome-labeled term of a decomposition; weight is |amplitude|^2."""
 
     labels: tuple[str, ...]
@@ -244,12 +242,16 @@ class BranchDecomposition:
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
-        total = 0.0
-        for br in self.branches:
-            if abs(abs(br.amplitude) ** 2 - br.weight) > ATOL:
-                raise ValueError(f"branch {br.labels}: weight {br.weight} != |amplitude|^2")
-            total += br.weight
-        if abs(total - 1.0) > ATOL:
+        n = len(self.branches)
+        mags = np.fromiter(map(abs, map(attrgetter("amplitude"), self.branches)), float, n)
+        weights = np.fromiter(map(attrgetter("weight"), self.branches), float, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are bad too
+            bad = ~(np.abs(mags ** 2 - weights) <= ATOL)
+        if bad.any():
+            br = self.branches[bad.argmax()]
+            raise ValueError(f"branch {br.labels}: weight {br.weight} != |amplitude|^2")
+        total = float(weights.sum())
+        if not abs(total - 1.0) <= ATOL:
             raise NormalizationError(f"branch weights sum to {total}, expected 1")
 
     def joint_distribution(self) -> dict[tuple[str, ...], float]:
@@ -425,7 +427,9 @@ def branch_decompose(state: StateVector, contexts: dict) -> BranchDecomposition:
     kept = weights[keep]
     amplitudes = np.where(single, picked, np.sqrt(kept))
     labels = itertools.compress(itertools.product(*sorted_labels), keep.tolist())
-    branches = tuple(map(Branch, labels, amplitudes.tolist(), kept.tolist()))
+    # tuple.__new__ fills each row in C, where Branch(...) runs a Python __new__ per row
+    branches = tuple(map(tuple.__new__, itertools.repeat(Branch),
+                         zip(labels, amplitudes.tolist(), kept.tolist())))
     return BranchDecomposition(tuple(names), branches)
 
 

@@ -379,6 +379,15 @@ class TestUsageErrors:
         assert err.startswith(f"manyminds: error: tree spec {str(spec)!r} is not valid JSON: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff{}"], ids=["syntax", "not_utf8"])
+    def test_config_that_is_not_json_names_its_path(self, tmp_path, capsys, content):
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+        assert cli.main(["enumerate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"manyminds: error: config {str(config)!r} is not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_bad_axis(self, capsys):
         assert cli.main(["epr", "--alice-axis", "sideways"]) == 1
         assert "axis" in capsys.readouterr().err

@@ -4,16 +4,21 @@ Derived expectations are checked against independent oracles written in this
 module (full-matrix kron products and explicit partial-trace loops), not
 against the code paths under test.
 """
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manyminds.epr import EprConfig
 from manyminds.minds import marginal_for
 from manyminds.quantum import (
+    ATOL,
     PRUNE_TOL,
     Branch,
+    BranchDecomposition,
     DensityMatrix,
     NormalizationError,
     Operator,
@@ -162,7 +167,8 @@ def test_state_vector_rejects_nan():
         StateVector(layout, np.array([np.nan, 0.0]))
 
 
-# -45 and 200 degrees point into the -x half of the plane, where phi = pi
+# -45 and 200 degrees point into the -x half of the plane, where the half-angle's
+# cosine or sine is negative
 @pytest.mark.parametrize("axis", ["x", "y", "z", 30.0, pytest.param(-45.0, id="axis4"),
                                   pytest.param(200.0, id="axis5")])
 def test_axis_basis_diagonalizes_spin_observable(axis):
@@ -376,6 +382,99 @@ def test_marginal_and_conditional_distributions():
     cond = conditional_distribution(decomp, ["p1"], ["p2"])
     assert cond[("+",)] == pytest.approx({("-",): 1.0})
     assert cond[("-",)] == pytest.approx({("+",): 1.0})
+
+
+@st.composite
+def states_and_contexts(draw):
+    """A random state on 1-4 subsystems of dimension 1-3, some amplitudes exactly
+    zero, with contexts on a non-empty subset: an axis or None on a qubit, None
+    elsewhere."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    layout = SubsystemLayout(tuple(
+        (f"s{i}", tuple(draw(st.permutations(("-", "ready", "+")[:d]))))
+        for i, d in enumerate(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    raw[np.array(draw(st.lists(st.booleans(), min_size=layout.dim, max_size=layout.dim)))] = 0
+    if not raw.any():
+        raw[0] = 1.0
+    state = StateVector(layout, raw / np.linalg.norm(raw))
+    names = draw(st.lists(st.sampled_from(layout.names), min_size=1, unique=True))
+    axes = st.one_of(st.none(), st.sampled_from("xyz"), st.floats(-720, 720))
+    contexts = {name: draw(axes) if dims[layout.axis(name)] == 2 else None for name in names}
+    return state, contexts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=states_and_contexts())
+def test_branch_rows_are_branches_equal_to_the_oracle(case):
+    state, contexts = case
+    got = branch_decompose(state, contexts).branches
+    assert all(type(row) is Branch for row in got)
+    assert list(got) == branches_oracle(state, contexts)
+
+
+def test_branch_rows_are_read_only_named_tuples():
+    row = branch_decompose(singlet(), {"p1": "z", "p2": "z"}).branches[0]
+    for name in ("labels", "amplitude", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, row[0])
+    labels, amplitude, weight = row
+    assert row == (("+", "-"), amplitude, weight)
+    assert repr(row) == f"Branch(labels=('+', '-'), amplitude={amplitude!r}, weight={weight!r})"
+
+
+@pytest.mark.parametrize("amplitude, weight", [
+    (math.nan, math.nan), (1.0, math.nan), (math.nan, 0.0), (math.inf, math.inf),
+    (complex(0.0, math.inf), math.inf), (0.0, -math.inf), (1e200, 1.0)])
+def test_decomposition_refuses_a_non_finite_branch_by_name(amplitude, weight):
+    good, bad = Branch(("+",), 1.0, 1.0), Branch(("-",), amplitude, weight)
+    for branches in ((bad,), (good, bad), (good, bad, Branch(("0",), math.nan, 1.0))):
+        with pytest.raises(ValueError, match=r"^branch \('-',\): weight"):
+            BranchDecomposition(("a",), branches)
+
+
+def branch_ok(branch) -> bool:
+    """The construction check on one branch, in plain Python."""
+    return (cmath.isfinite(branch.amplitude) and math.isfinite(branch.weight)
+            and abs(abs(branch.amplitude) ** 2 - branch.weight) <= ATOL)
+
+
+# Each keeps a branch's error far from ATOL, so the reference and the
+# vectorized check cannot round to different sides of it.
+ROW_EDITS = {
+    "none": lambda a, w: (a, w),
+    "weight +1e-12": lambda a, w: (a, w + 1e-12),
+    "weight -1e-6": lambda a, w: (a, w - 1e-6),
+    "weight +0.25": lambda a, w: (a, w + 0.25),
+    "nan weight": lambda a, w: (a, math.nan),
+    "nan amplitude": lambda a, w: (complex(math.nan, a.imag), w),
+    "inf both": lambda a, w: (complex(a.real, math.inf), math.inf),
+    "-inf weight": lambda a, w: (a, -math.inf),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(shares=st.lists(st.floats(0.01, 1.0), max_size=6), data=st.data(),
+       scale=st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-6, 0.5, 2.0]))
+def test_decomposition_accepts_exactly_what_the_reference_accepts(shares, data, scale):
+    total = math.fsum(shares)
+    rows = []
+    for i, share in enumerate(shares):
+        phase = data.draw(st.floats(0.0, 2 * math.pi))
+        weight = share / total * scale
+        edit = ROW_EDITS[data.draw(st.sampled_from(sorted(ROW_EDITS)))]
+        amplitude, weight = edit(cmath.rect(math.sqrt(weight), phase), weight)
+        rows.append(Branch((str(i),), amplitude, weight))
+    bad = [row.labels[0] for row in rows if not branch_ok(row)]
+    if bad:
+        with pytest.raises(ValueError, match=rf"^branch \('{bad[0]}',\): weight"):
+            BranchDecomposition(("a",), tuple(rows))
+    elif abs(math.fsum(row.weight for row in rows) - 1.0) <= ATOL:
+        assert BranchDecomposition(("a",), tuple(rows)).branches == tuple(rows)
+    else:
+        with pytest.raises(NormalizationError, match="^branch weights sum to"):
+            BranchDecomposition(("a",), tuple(rows))
 
 
 # Expectations ---------------------------------------------------------------
