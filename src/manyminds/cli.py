@@ -49,6 +49,7 @@ MIN_EXPECTED = 100
 # not grow with a run (it is counted in windows of rng.CHUNK draws), so this
 # bounds only its length, and longer runs are refused before anything runs
 MAX_DRAWS = 2**25
+RECORDS_PER_BLOCK = 4096  # records a report lays out and writes at a time
 
 
 class UsageError(ValueError):
@@ -424,47 +425,72 @@ class Records:
     columns: tuple
 
 
-def _pieces(column, text=None) -> list[list[str]]:
-    """Record-long lists of texts that join to each record's cell. Numbers are ``repr``
-    once per distinct bit pattern (-0.0 too); a pair is each head per tail, then the tails,
-    each half through ``text`` once if given."""
+def _flush(parts: list, write) -> list:
+    """Write ``parts`` as one text and drop them; without ``write``, keep them to join."""
+    if write:
+        write("".join(parts))
+        parts.clear()
+    return parts
+
+
+def _pieces(column, step: int, text=None):
+    """Per block of ``step`` records, record-long lists of texts that join to each record's
+    cell. Numbers are ``repr`` once per distinct bit pattern (-0.0 too); a pair is each head
+    per tail, then the tails, each half through ``text`` once if given."""
     if isinstance(column, np.ndarray):
-        bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-        texts = list(map(repr, bits.view(column.dtype).tolist()))
-        return [list(map(texts.__getitem__, inverse.tolist()))]
+        known = {}  # the text of each bit pattern met so far
+        for start in range(0, len(column), step):
+            bits, inverse = np.unique(column[start:start + step].view(f"u{column.itemsize}"),
+                                      return_inverse=True)
+            texts = [known.get(b) or known.setdefault(b, repr(v))
+                     for b, v in zip(bits.tolist(), bits.view(column.dtype).tolist())]
+            yield [list(map(texts.__getitem__, inverse.tolist()))]
+        return
     heads, tails = ([*map(text, half)] for half in column) if text else column
-    return [[*chain.from_iterable(map(repeat, heads, repeat(len(tails))))], tails * len(heads)]
+    for start in range(0, len(heads) * len(tails), step):
+        part = heads[start // len(tails):(start + step) // len(tails)]
+        yield [[*chain.from_iterable(map(repeat, part, repeat(len(tails))))], tails * len(part)]
 
 
-def _interleave(parts: list, row: list, last: str) -> None:
-    """Append to ``parts`` each record's text of every record-long list in ``row`` and
-    every separator text between them, in order; the final separator is ``last``."""
+def _blocks(columns: tuple, parts: list, write, text=None):
+    """Flush ``parts`` to ``write`` and yield each column's ``_pieces`` per block:
+    ``RECORDS_PER_BLOCK`` records, rounded up to whole heads of every pair."""
+    width = math.lcm(*(len(c[1]) for c in columns if not isinstance(c, np.ndarray)))
+    for block in zip(*(_pieces(c, -(-RECORDS_PER_BLOCK // width) * width, text) for c in columns)):
+        _flush(parts, write)
+        yield block
+
+
+def _interleave(parts: list, block: list, after: list) -> None:
+    """Append to ``parts`` each record's texts of every column of ``block``, each column's
+    followed by its separator text in ``after``."""
+    row = [x for pieces, sep in zip(block, after) for x in (*pieces, sep)]
     parts += chain.from_iterable(zip(*(x if isinstance(x, list) else repeat(x) for x in row)))
-    parts[-1] = last
 
 
-def render_json(report: dict) -> str:
+def render_json(report: dict, write=None) -> str:
     """Header and body byte for byte as ``json.dumps(indent=2, sort_keys=True)``
-    writes them, without the pure-Python encoder that ``indent`` selects."""
+    writes them, without the pure-Python encoder that ``indent`` selects. With ``write``,
+    the text goes to it a block of records at a time and the result is empty."""
     parts = []
-    _encode({"header": report["header"], "body": report["body"]}, "", parts)
+    _encode({"header": report["header"], "body": report["body"]}, "", parts, write)
     parts.append("\n")
-    return "".join(parts)
+    return "".join(_flush(parts, write))
 
 
-def _encode(value, indent: str, parts: list) -> None:
+def _encode(value, indent: str, parts: list, write) -> None:
     """Append to ``parts`` the JSON text of ``value`` (string keys), closing at ``indent``."""
     inner = indent + "  "
     if isinstance(value, Records):  # a string's quotes go in the separators around it
-        row, end = [], ""
-        for key, column in sorted(zip(value.keys, value.columns)):  # keys are unique
-            quote = "" if isinstance(column, np.ndarray) else '"'
-            row += [f"{end}{inner}  {encode_basestring_ascii(key)}: {quote}",
-                    *_pieces(column, lambda s: encode_basestring_ascii(s)[1:-1])]
-            end = quote + ",\n"
-        end = f"{quote}\n{inner}}}"
-        parts.append(f"[\n{inner}{{\n{row[0]}")
-        _interleave(parts, [*row[1:], f"{end},\n{inner}{{\n{row[0]}"], f"{end}\n{indent}]")
+        keys, columns = zip(*sorted(zip(value.keys, value.columns)))  # keys are unique
+        quotes = ["" if isinstance(c, np.ndarray) else '"' for c in columns]
+        names = [f"{inner}  {encode_basestring_ascii(k)}: {q}" for k, q in zip(keys, quotes)]
+        end = f"{quotes[-1]}\n{inner}}}"
+        after = [*map("{},\n{}".format, quotes, names[1:]), f"{end},\n{inner}{{\n{names[0]}"]
+        parts.append(f"[\n{inner}{{\n{names[0]}")
+        for block in _blocks(columns, parts, write, lambda s: encode_basestring_ascii(s)[1:-1]):
+            _interleave(parts, block, after)
+        parts[-1] = f"{end}\n{indent}]"
         return
     if isinstance(value, dict) and value:
         ends, items = "{}", [(f"{encode_basestring_ascii(k)}: ", v)
@@ -476,25 +502,28 @@ def _encode(value, indent: str, parts: list) -> None:
         return
     for k, (key, item) in enumerate(items):
         parts.append(f"{',' if k else ends[0]}\n{inner}{key}")
-        _encode(item, inner, parts)
+        _encode(item, inner, parts, write)
     parts.append(f"\n{indent}{ends[1]}")
 
 
-def render_csv(report: dict) -> str:
+def render_csv(report: dict, write=None) -> str:
     """Header fields as ``# key=value`` lines, then the table as ``csv.writer`` writes it:
-    ``Records`` with no delimiter, quote or line break in a title or half through one join."""
+    ``Records`` with no delimiter, quote or line break in a title or half through one join
+    per block. With ``write``, as ``render_json``."""
     parts = [f"# {key}={report['header'][key]}\n" for key in sorted(report["header"])]
     table = report["_csv_table"]
     if isinstance(table, Records):
         halves = [t for c in table.columns if not isinstance(c, np.ndarray) for x in c for t in x]
         if set(',"\r\n').isdisjoint("".join([*table.titles, *halves])):
             parts.append(",".join(table.titles) + "\r\n")
-            row = [texts for column in table.columns for texts in (*_pieces(column), ",")]
-            _interleave(parts, [*row[:-1], "\r\n"], "\r\n")
-            return "".join(parts)
-        table = [table.titles, *zip(*(map("".join, zip(*_pieces(c))) for c in table.columns))]
+            for block in _blocks(table.columns, parts, write):
+                _interleave(parts, block, [","] * (len(block) - 1) + ["\r\n"])
+            return "".join(_flush(parts, write))
+        rows = (zip(*(map("".join, zip(*pieces)) for pieces in block))
+                for block in _blocks(table.columns, parts, write))
+        table = chain([table.titles], chain.from_iterable(rows))
     csv.writer(SimpleNamespace(write=parts.append)).writerows(table)
-    return "".join(parts)
+    return "".join(_flush(parts, write))
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +639,15 @@ def main(argv=None) -> int:
         print(f"manyminds: physics check failed: {exc}", file=sys.stderr)
         return 2
 
-    text = render_json(report) if config.format == "json" else render_csv(report)
-    with open(config.out, "w") if config.out else nullcontext(sys.stdout) as fh:
-        fh.write(text)
+    try:  # a block at a time, so no text the size of the body is held
+        with open(config.out, "w") if config.out else nullcontext(sys.stdout) as fh:
+            (render_json if config.format == "json" else render_csv)(report, fh.write)
+            fh.flush()
+    except (OSError, UnicodeEncodeError) as exc:  # disk full, reader gone, lone surrogate
+        if not config.out:  # else the flush of stdout at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"manyminds: error: {exc}", file=sys.stderr)
+        return 1
     if status != 0:
         failed = [c["name"] for c in report["body"]["checks"] if not c["passed"]]
         print(f"manyminds: physics check failed: {', '.join(failed)}", file=sys.stderr)

@@ -4,16 +4,18 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manyminds import cli
@@ -647,11 +649,17 @@ CSV_TABLES = st.one_of(
 # text; each event has 1 to 3 outcomes, some of probability 0
 TREE_LABELS = st.text(st.one_of(st.sampled_from(',"\r\n%\u00e9\u2603a'),
                                 st.characters(blacklist_characters="/")), max_size=3)
-TREE_EVENTS = st.lists(st.integers(1, 3).flatmap(lambda k: st.fixed_dictionaries({
+TREE_EVENT = st.integers(1, 3).flatmap(lambda k: st.fixed_dictionaries({
     "probs": st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any).map(
         lambda w: [x / sum(w) for x in w]),
-    "labels": st.lists(TREE_LABELS, min_size=k, max_size=k, unique=True)})),
-    min_size=1, max_size=4)
+    "labels": st.lists(TREE_LABELS, min_size=k, max_size=k, unique=True)}))
+TREE_EVENTS = st.lists(TREE_EVENT, min_size=1, max_size=4)
+# 0 to 5 measured events among skipped slots, with labels UTF-8 can hold (no lone surrogate)
+SURROGATE = re.compile("[\ud800-\udfff]")
+SLOTTED_EVENTS = st.lists(st.one_of(TREE_EVENT, st.just({"skip": True})), max_size=7).filter(
+    lambda events: sum("probs" in e for e in events) <= 5
+    and not SURROGATE.search(json.dumps(events, ensure_ascii=False)))
+TIMESTAMP = re.compile(r'\n\s*"timestamp": "[^"]*",?|\n# timestamp=[^\n]*')
 
 
 class TestOutputFormats:
@@ -743,6 +751,91 @@ class TestOutputFormats:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+class TestBlockWrites:
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @settings(max_examples=100, deadline=None)
+    @given(events=SLOTTED_EVENTS, minds=st.integers(1, 300))
+    @example(events=[{"probs": [0.5, 0.5], "labels": ["a,b", "c"]}, {"skip": True},
+                     {"probs": [0.25, 0.75]}], minds=10)
+    def test_main_writes_what_the_renderers_return(self, tmp_path_factory, block, events,
+                                                  minds):
+        path = tmp_path_factory.mktemp("tree") / "tree.json"
+        path.write_text(json.dumps({"events": events}))
+        run, reports = cli.run, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "RECORDS_PER_BLOCK", block)
+            mp.setattr(cli, "run", lambda config: reports.append(run(config)) or reports[-1])
+            for fmt, render in (("json", cli.render_json), ("csv", cli.render_csv)):
+                argv = ["tree", "--spec", str(path), "--minds", str(minds), "--format", fmt]
+                out, stdout = path.parent / f"report.{fmt}", io.StringIO()
+                with redirect_stdout(stdout):
+                    assert cli.main(argv) in (0, 2)
+                assert cli.main(argv + ["--out", str(out)]) in (0, 2)
+                with open(out, newline="") as fh:
+                    written = fh.read()
+                report = reports[-1][1]
+                assert written == render(report)
+                assert TIMESTAMP.sub("", stdout.getvalue()) == TIMESTAMP.sub("", written)
+                rows = materialised(report)
+                assert written == (json_dumps_report(rows) if fmt == "json"
+                                   else csv_writer_text(rows))
+
+    @pytest.mark.parametrize("render", [cli.render_json, cli.render_csv])
+    def test_each_number_is_formatted_once_across_blocks(self, tmp_path, monkeypatch, render):
+        spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 16)
+        _, report = cli.run(cli.RunConfig("tree", spec_path=spec, minds=1000))
+        counts, probs = report["body"]["leaves"].columns[1:]
+        formatted = []
+        monkeypatch.setattr(cli, "RECORDS_PER_BLOCK", 7)
+        monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+        render(report)
+        assert len(np.unique(probs)) == 17
+        assert len(formatted) == len(np.unique(counts)) + len(np.unique(probs))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tree_report_is_written_without_its_body_text(self, tmp_path, fmt):
+        # written as one text, this 65,536-leaf report (8.69 MB as JSON, 3.77 MB as CSV)
+        # peaked at 17.7 and 10.3 MB; the run alone peaks near 2.7 MB
+        spec = write_tree_spec(tmp_path, [[1 / 3, 2 / 3]] * 16)
+        out = tmp_path / f"report.{fmt}"
+        argv = ["tree", "--spec", spec, "--minds", "1000", "--format", fmt, "--out", str(out)]
+        cli.main(argv)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 3.5e6
+        assert peak < 6e6
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_exits_one_without_a_traceback(self, capsys):
+        assert cli.main(["enumerate", "--out", "/dev/full"]) == 1
+        assert capsys.readouterr().err == "manyminds: error: [Errno 28] No space left on device\n"
+
+    def test_label_utf8_cannot_hold_exits_one_without_a_traceback(self, tmp_path, capsys):
+        spec = tmp_path / "tree.json"
+        spec.write_text('{"events": [{"probs": [1.0], "labels": ["\\ud800"]}]}')
+        argv = ["tree", "--spec", str(spec), "--format", "csv", "--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("manyminds: error: 'utf-8' codec can't encode") and err.count("\n") == 1
+
+    def test_reader_gone_after_ten_bytes_exits_one_without_a_traceback(self, tmp_path):
+        # a report of 4 blocks, so a block is written after the reader has gone
+        spec = write_tree_spec(tmp_path, [[0.5, 0.5]] * 14)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, "-m", "manyminds.cli", "tree", "--spec", spec,
+                                 "--minds", "100"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err.decode() == "manyminds: error: [Errno 32] Broken pipe\n"
 
 
 class TestDeterminism:
