@@ -8,8 +8,7 @@ for byte regardless of --threads. Exit status is 0 on success, 1 on usage errors
 physics check fails (a correct run fails a sampled check with chance at most ALPHA).
 
 Each command accepts only the flags and config-file keys it reads; flags take
-precedence over the config file (--config). The seed may also come from the
-MANYMINDS_SEED environment variable and is always echoed into the report header.
+precedence over the config file (--config), and the seed is echoed into the report header.
 """
 from __future__ import annotations
 
@@ -39,7 +38,6 @@ from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_sp
 
 __all__ = ["Records", "RunConfig", "UsageError", "run", "main"]
 
-ENV_SEED = "MANYMINDS_SEED"
 ALPHA = 1e-4  # family-wise false-alarm rate of one report's stochastic checks
 EXACT_TOL = 1e-9
 # a Pearson chi-square check runs only when every cell or leaf of positive
@@ -293,8 +291,7 @@ def _run_ghz(config: RunConfig):
         checks.append(_stochastic("cell_frequency_band", stat, chi_square_tail(stat, 255),
                                   "Pearson chi-square of the 256 cell counts, 255 df"))
     csv_table = [["cell_id", "count", "frequency"]]
-    csv_table += [[i, int(c), c / len(sample)]
-                  for i, c in enumerate(report.counts.tolist())]
+    csv_table += [[i, c, c / len(sample)] for i, c in enumerate(report.counts.tolist())]
     return payload, checks, csv_table
 
 
@@ -347,9 +344,7 @@ def _run_enumerate(config: RunConfig):
         _check("three_constraint_counts", all(v == 8 for v in relaxed.values()),
                "each three-constraint subset admits exactly 8 assignments"),
     ]
-    table = [["constraints", "satisfying"]]
-    table += [["1,2,3,4", satisfying]]
-    table += [[k, v] for k, v in sorted(relaxed.items())]
+    table = [["constraints", "satisfying"], ["1,2,3,4", satisfying], *sorted(relaxed.items())]
     return payload, checks, table
 
 
@@ -406,19 +401,17 @@ def run(config: RunConfig) -> tuple[int, dict]:
     for c in stochastic:
         c["threshold"] = -math.expm1(math.log1p(-ALPHA) / len(stochastic))
         c["passed"] = c["p_value"] > c["threshold"]
-    payload = dict(payload)
-    payload["checks"] = checks
-    payload["all_checks_passed"] = all(c["passed"] for c in checks)
-    report = {"header": _header(config), "body": payload, "_csv_table": table}
-    return (0 if payload["all_checks_passed"] else 2), report
+    body = {**payload, "checks": checks, "all_checks_passed": all(c["passed"] for c in checks)}
+    report = {"header": _header(config), "body": body, "_csv_table": table}
+    return (0 if body["all_checks_passed"] else 2), report
 
 
 @dataclass(frozen=True)
 class Records:
     """At least one record of one key set as a column per key, and no object per record:
-    a numpy array of integers or finite floats, or a pair ``(heads, tails)`` of text lists
-    whose record ``i * len(tails) + j`` is ``heads[i] + tails[j]``. JSON writes the list
-    of objects ``json.dumps`` writes, CSV the table under ``titles``."""
+    first one pair ``(heads, tails)`` of text lists whose record ``i * len(tails) + j`` is
+    ``heads[i] + tails[j]``, then numpy arrays of integers or finite floats. JSON writes the
+    list of objects ``json.dumps`` writes, CSV the table under ``titles``."""
 
     keys: tuple[str, ...]
     titles: tuple[str, ...]
@@ -454,8 +447,8 @@ def _pieces(column, step: int, text=None):
 
 def _blocks(columns: tuple, parts: list, write, text=None):
     """Flush ``parts`` to ``write`` and yield each column's ``_pieces`` per block:
-    ``RECORDS_PER_BLOCK`` records, rounded up to whole heads of every pair."""
-    width = math.lcm(*(len(c[1]) for c in columns if not isinstance(c, np.ndarray)))
+    ``RECORDS_PER_BLOCK`` records, rounded up to whole heads of the one pair."""
+    width = len(next(c for c in columns if not isinstance(c, np.ndarray))[1])
     for block in zip(*(_pieces(c, -(-RECORDS_PER_BLOCK // width) * width, text) for c in columns)):
         _flush(parts, write)
         yield block
@@ -513,8 +506,7 @@ def render_csv(report: dict, write=None) -> str:
     parts = [f"# {key}={report['header'][key]}\n" for key in sorted(report["header"])]
     table = report["_csv_table"]
     if isinstance(table, Records):
-        halves = [t for c in table.columns if not isinstance(c, np.ndarray) for x in c for t in x]
-        if set(',"\r\n').isdisjoint("".join([*table.titles, *halves])):
+        if set(',"\r\n').isdisjoint("".join(chain(table.titles, *table.columns[0]))):
             parts.append(",".join(table.titles) + "\r\n")
             for block in _blocks(table.columns, parts, write):
                 _interleave(parts, block, [","] * (len(block) - 1) + ["\r\n"])
@@ -592,19 +584,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"config names command {file_cfg['command']!r} "
                          f"but {args.command!r} was invoked")
 
-    settings = {}
     flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
-    # the variable is read only when no flag or config sets the seed
-    if os.environ.get(ENV_SEED) and "seed" not in file_cfg and "seed" not in flags:
-        try:
-            settings.update(seed=int(os.environ[ENV_SEED]), seed_source="env")
-        except ValueError:
-            raise UsageError(f"{ENV_SEED} must be an integer, "
-                             f"got {os.environ[ENV_SEED]!r}") from None
-    for source, values in (("config", file_cfg), ("flag", flags)):
-        settings.update(values)
-        if "seed" in values:
-            settings["seed_source"] = source
+    settings = {**file_cfg, **flags}
+    if "seed" in settings:
+        settings["seed_source"] = "flag" if "seed" in flags else "config"
     if "spec" in settings:
         settings["spec_path"] = settings.pop("spec")
 
@@ -616,6 +599,21 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"--axes needs a list of 4 axes, got {settings['axes']!r}")
         settings["axes"] = tuple(_parse_axis(x, "--axes") for x in settings["axes"])
     return RunConfig(**settings)
+
+
+def _writer(fh):
+    """``fh.write``, or one that hands the raw stream under ``fh`` each encoded text until it
+    takes all, so no byte waits in a buffer: ``TextIOWrapper.write`` ignores a pipe taking part."""
+    if not hasattr(fh, "buffer"):  # io.StringIO
+        return fh.write
+    out = getattr(fh.buffer, "raw", fh.buffer)  # io.BytesIO has none under it
+
+    def write(text: str) -> None:
+        fh.flush()  # text written before goes first
+        view = memoryview(text.encode(fh.encoding, fh.errors))
+        while view:
+            view = view[out.write(view):]
+    return write
 
 
 def main(argv=None) -> int:
@@ -641,11 +639,8 @@ def main(argv=None) -> int:
 
     try:  # a block at a time, so no text the size of the body is held
         with open(config.out, "w") if config.out else nullcontext(sys.stdout) as fh:
-            (render_json if config.format == "json" else render_csv)(report, fh.write)
-            fh.flush()
-    except (OSError, UnicodeEncodeError) as exc:  # disk full, reader gone, lone surrogate
-        if not config.out:  # else the flush of stdout at exit fails again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            (render_json if config.format == "json" else render_csv)(report, _writer(fh))
+    except (OSError, UnicodeEncodeError) as exc:  # disk full, reader gone, encoding
         print(f"manyminds: error: {exc}", file=sys.stderr)
         return 1
     if status != 0:

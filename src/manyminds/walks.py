@@ -75,6 +75,10 @@ class TreeEvent:
             raise ValueError(f"{self.event_id}: duplicate labels {list(labels)}")
         elif any("/" in str(label) for label in labels):
             raise ValueError(f"{self.event_id}: labels may not contain '/': {list(labels)}")
+        try:  # a report holds each label as UTF-8
+            [str(label).encode() for label in labels]
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{exc}, in a label of event {self.event_id}") from None
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", tuple(labels))
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -208,6 +209,13 @@ def test_no_module_imports_scipy():
             if any(s in p.read_text() for s in ("import scipy", "from scipy"))] == []
 
 
+def test_no_module_reads_the_environment():
+    # a run is set by its flags and config file alone, never by process state
+    modules = Path(cli.__file__).parent.glob("*.py")
+    assert [p.name for p in modules
+            if any(s in p.read_text() for s in ("environ", "getenv"))] == []
+
+
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -231,29 +239,13 @@ class TestConfigResolution:
         assert header["seed_source"] == "flag"
         assert header["n"] == 2000
 
-    def test_env_seed_echoed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_SEED, "123")
+    def test_environment_sets_no_seed(self, tmp_path, monkeypatch):
+        # the seed comes only from a flag or the config file
+        monkeypatch.setenv("MANYMINDS_SEED", "abc")
         status, out = run_to_file(tmp_path, ["enumerate"])
         assert status == 0
         header = load(out)["header"]
-        assert header["seed"] == 123
-        assert header["seed_source"] == "env"
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_SEED, "123")
-        status, out = run_to_file(tmp_path, ["enumerate", "--seed", "5"])
-        assert status == 0
-        assert load(out)["header"]["seed"] == 5
-        assert load(out)["header"]["seed_source"] == "flag"
-
-    def test_config_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_SEED, "123")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 17}))
-        status, out = run_to_file(tmp_path, ["enumerate", "--config", str(cfg)])
-        assert status == 0
-        header = load(out)["header"]
-        assert (header["seed"], header["seed_source"]) == (17, "config")
+        assert (header["seed"], header["seed_source"]) == (0, "default")
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -393,30 +385,6 @@ class TestUsageErrors:
     def test_bad_axis(self, capsys):
         assert cli.main(["epr", "--alice-axis", "sideways"]) == 1
         assert "axis" in capsys.readouterr().err
-
-    def test_bad_env_seed(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.ENV_SEED, "not-a-number")
-        assert cli.main(["enumerate"]) == 1
-
-    @pytest.mark.parametrize("argv, config, status, source", [
-        (["enumerate", "--seed", "5"], None, 0, "flag"),
-        (["enumerate"], {"seed": 17}, 0, "config"),
-        (["enumerate"], None, 1, None),
-    ])
-    def test_bad_env_seed_read_only_without_another_seed(self, tmp_path, monkeypatch, capsys,
-                                                         argv, config, status, source):
-        # a flag or config seed wins, so the variable is never parsed
-        monkeypatch.setenv(cli.ENV_SEED, "abc")
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            argv = argv + ["--config", str(cfg)]
-        got, out = run_to_file(tmp_path, argv)
-        assert got == status
-        if source is None:
-            assert cli.ENV_SEED in capsys.readouterr().err
-        else:
-            assert load(out)["header"]["seed_source"] == source
 
     def test_tree_event_id_freq_accepted(self, tmp_path):
         # repeated_frequency draws from its own "freq" scope, outside the "tree" namespace
@@ -828,6 +796,37 @@ class TestBlockWrites:
         err = capsys.readouterr().err
         assert err.startswith("manyminds: error: 'utf-8' codec can't encode")
         assert err.count("\n") == 1
+
+    def test_label_utf8_cannot_hold_is_refused_before_the_run(self, tmp_path, capsys):
+        spec, out = tmp_path / "s.json", tmp_path / "r.csv"
+        spec.write_text('{"events": [{"probs": [0.5, 0.5]}, {"id": "spin", "probs": [1.0], '
+                        '"labels": ["up\\ud800"]}]}')
+        argv = ["tree", "--spec", str(spec), "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("manyminds: error: ") and err.endswith(" of event spin\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_reader_gone_mid_block_exits_one(self, tmp_path, monkeypatch, capsys):
+        # one block of 4,096 records (481 KB of JSON): a pipe whose reader leaves takes part
+        # of the block's write, and the rest must fail it; stdout is unbuffered, as under
+        # python -u or PYTHONUNBUFFERED, where no BufferedWriter retries the short write
+        spec = write_tree_spec(tmp_path, [[0.5, 0.5]] * 12)
+        statuses = []
+        for _ in range(20):
+            read, write = os.pipe()
+            stdout = io.TextIOWrapper(open(write, "wb", buffering=0), write_through=True)
+            with stdout, ThreadPoolExecutor(1) as pool:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                status = pool.submit(cli.main, ["tree", "--spec", spec, "--minds", "1000"])
+                try:
+                    assert len(os.read(read, 10)) == 10
+                finally:  # else a failed read leaves the writer blocked
+                    os.close(read)
+                statuses.append(status.result(timeout=60))
+        assert statuses == [1] * 20
+        assert capsys.readouterr().err == "manyminds: error: [Errno 32] Broken pipe\n" * 20
 
     def test_reader_gone_after_ten_bytes_exits_one_without_a_traceback(self, tmp_path):
         # a report of 4 blocks, so a block is written after the reader has gone

@@ -61,8 +61,7 @@ def render_body(name: str, fmt: str, workdir: Path) -> str:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_body_matches_golden(name, fmt, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+def test_body_matches_golden(name, fmt, tmp_path):
     want = (GOLDEN / f"{name}.{fmt}").read_text()
     assert render_body(name, fmt, tmp_path) == want
 

@@ -28,7 +28,6 @@ SAMPLING = ("tree", "epr_joint", "epr_independent", "epr_bob45", "hulk_independe
 def test_golden_bodies_for_every_window_size(name, chunk, threads, tmp_path, monkeypatch):
     monkeypatch.setattr(rng_mod, "CHUNK", chunk)
     monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: 2)
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     monkeypatch.setitem(CASES, name, CASES[name] + ["--threads", threads])
     assert render_body(name, "json", tmp_path) == (GOLDEN / f"{name}.json").read_text()
 
