@@ -74,7 +74,8 @@ class TestBuildTree:
 
     @settings(max_examples=200, deadline=None)
     @given(slots=st.lists(st.one_of(st.none(), st.lists(
-        st.text(st.characters(blacklist_characters="/"), max_size=3), min_size=1, max_size=4,
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/"),
+                max_size=3), min_size=1, max_size=4,
         unique=True)), max_size=8).filter(lambda s: sum(x is not None for x in s) <= 6))
     def test_path_texts_join_each_path(self, slots):
         events = tuple(SKIP if labels is None else TreeEvent(
