@@ -23,15 +23,14 @@ from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import chain, combinations, repeat
 from types import SimpleNamespace
+from typing import NamedTuple
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from . import epr as epr_mod
-from . import ghz as ghz_mod
-from .minds import JOINTLY_CORRELATED, SINGLE_MIND, SamplingPolicy, marginal_for
-from .quantum import PhysicsAssertionError, branch_decompose, partial_trace, trace_distance
+from .quantum import (DEFAULT_CHSH_AXES, PhysicsAssertionError, branch_decompose,
+                      partial_trace, trace_distance)
 from .rng import RngSpec
 from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_spec,
                     pearson_statistic, random_walk)
@@ -65,7 +64,7 @@ class RunConfig:
     policy: str | None = None  # None: independent for hulk, joint for every other command
     alice_axis: object = "z"
     bob_axis: object = "z"
-    axes: tuple = epr_mod.DEFAULT_CHSH_AXES
+    axes: tuple = DEFAULT_CHSH_AXES
     spec_path: str | None = None
     out: str | None = None
     format: str = "json"
@@ -123,7 +122,8 @@ def _normal(name: str, estimate: float, expected: float, se: float, detail: str)
 
 
 # ---------------------------------------------------------------------------
-# Command bodies: each returns (payload, checks, primary CSV table)
+# Command bodies: each returns (payload, checks, primary CSV table). Each imports its
+# own layers, so a fresh run loads and compiles no other command's.
 
 
 def _run_tree(config: RunConfig):
@@ -152,6 +152,8 @@ def _run_tree(config: RunConfig):
 
 
 def _run_epr(config: RunConfig):
+    from . import epr as epr_mod
+    from .minds import SamplingPolicy
     ecfg = epr_mod.EprConfig(
         rng=config.rng, alice_axis=config.alice_axis, bob_axis=config.bob_axis,
         policy=SamplingPolicy(config.policy), n_minds=config.minds)
@@ -208,6 +210,8 @@ def _axis_text(axis) -> str:
 
 
 def _run_hulk(config: RunConfig):
+    from . import epr as epr_mod
+    from .minds import JOINTLY_CORRELATED, SINGLE_MIND, marginal_for
     policy = SINGLE_MIND if config.policy == "independent" else JOINTLY_CORRELATED
     rate = epr_mod.hulk_demo(config.trials, config.rng, policy=policy)
 
@@ -233,6 +237,7 @@ def _run_hulk(config: RunConfig):
 
 
 def _run_ghz(config: RunConfig):
+    from . import ghz as ghz_mod
     state = ghz_mod.ghz_state()
     table = ghz_mod.verify_constraints(state)
     constraint_rows = {
@@ -296,6 +301,7 @@ def _run_ghz(config: RunConfig):
 
 
 def _run_chsh(config: RunConfig):
+    from . import epr as epr_mod
     a, ap, b, bp = config.axes
     exact = epr_mod.chsh(a, ap, b, bp)
     estimate = epr_mod.chsh_monte_carlo(a, ap, b, bp, config.trials, config.rng)
@@ -327,6 +333,7 @@ def _run_chsh(config: RunConfig):
 
 
 def _run_enumerate(config: RunConfig):
+    from . import ghz as ghz_mod
     total, satisfying, witnesses = ghz_mod.enumerate_local_assignments()
     relaxed = {}
     for subset in combinations((1, 2, 3, 4), 3):
@@ -348,8 +355,7 @@ def _run_enumerate(config: RunConfig):
     return payload, checks, table
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     runner: object
     help: str
     draws: str | None  # the setting that holds the draws per stream

@@ -30,6 +30,7 @@ from .minds import (
     split_local,
 )
 from .quantum import (
+    DEFAULT_CHSH_AXES,
     BranchDecomposition,
     StateVector,
     SubsystemLayout,
@@ -63,10 +64,6 @@ __all__ = [
 
 PARTICLES = ("p1", "p2")
 OBSERVERS = ("alice", "bob")
-
-# axes (a, a', b, b') in degrees within the x-z plane; they maximize the
-# combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')| at 2*sqrt(2)
-DEFAULT_CHSH_AXES = (0.0, 90.0, 45.0, -45.0)
 
 
 def singlet() -> StateVector:

@@ -41,6 +41,7 @@ __all__ = [
     "DensityMatrix",
     "axis_vector",
     "axis_basis",
+    "DEFAULT_CHSH_AXES",
     "pauli",
     "spin_product",
     "ready_state",
@@ -120,6 +121,11 @@ def axis_basis(axis) -> np.ndarray:
             return _NAMED_BASES[name].copy()
     half = np.deg2rad(float(axis)) / 2
     return np.array([[cos(half), sin(half)], [sin(half), -cos(half)]], dtype=complex)
+
+
+# axes (a, a', b, b') in degrees within the x-z plane; they maximize the
+# combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')| at 2*sqrt(2)
+DEFAULT_CHSH_AXES = (0.0, 90.0, 45.0, -45.0)
 
 
 def pauli(axis) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +93,7 @@ class RngSpec:
 
         if workers == 1:
             return total(0)
+        from concurrent.futures import ThreadPoolExecutor  # only a pool run pays its import
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(total, range(workers)))
 

@@ -11,7 +11,6 @@ import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manyminds import cli
-from manyminds import ghz
+from manyminds import epr, ghz, quantum
 from manyminds.rng import sample_indices
 from manyminds.walks import WalkResult, build_tree, random_walk, tree_spec_from_json
 
@@ -214,6 +213,66 @@ def test_no_module_reads_the_environment():
     modules = Path(cli.__file__).parent.glob("*.py")
     assert [p.name for p in modules
             if any(s in p.read_text() for s in ("environ", "getenv"))] == []
+
+
+LOADED = textwrap.dedent("""
+    import json, sys
+    from manyminds import cli
+
+    status = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
+    print(json.dumps({"status": status, "modules": sorted(
+        m for m in sys.modules if m.split(".")[0] == "manyminds"
+        or m in ("concurrent.futures", "fractions"))}))
+""")
+# what a bare import of cli loads of the package; a command loads these and its own layers
+BASE = {"manyminds", "manyminds.cli", "manyminds.quantum", "manyminds.rng", "manyminds.walks"}
+OWN_LAYERS = {"tree": set(), "ghz": {"manyminds.ghz"}, "enumerate": {"manyminds.ghz"},
+              **dict.fromkeys(("epr", "hulk", "chsh"), {"manyminds.minds", "manyminds.epr"})}
+
+
+def loaded_modules(*argv) -> tuple:
+    """(exit status, modules of interest loaded) of a fresh interpreter that imports cli
+    and, given ``argv``, runs ``cli.main(argv)``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    args = [json.dumps(argv)] if argv else []
+    proc = subprocess.run([sys.executable, "-c", LOADED, *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    return seen["status"], set(seen["modules"])
+
+
+def test_importing_cli_loads_no_command_layer():
+    assert loaded_modules() == (None, BASE)
+
+
+@pytest.mark.parametrize("argv", [["tree", "--minds", "1000"], ["epr", "--minds", "1000"],
+                                  ["hulk", "--trials", "1000"], ["ghz", "--minds", "1000"],
+                                  ["chsh", "--trials", "1000"], ["enumerate"]],
+                         ids=lambda argv: argv[0])
+def test_each_command_loads_only_its_own_layers(argv, tmp_path, tree_spec_path):
+    # a one-thread run never needs the pool, so it leaves concurrent.futures unloaded
+    spec = ["--spec", tree_spec_path] if argv[0] == "tree" else []
+    status, loaded = loaded_modules(*argv, *spec, "--threads", "1",
+                                    "--out", str(tmp_path / "report.json"))
+    assert status == 0
+    assert loaded - {"fractions"} == BASE | OWN_LAYERS[argv[0]]
+
+
+def test_a_fresh_pool_run_gives_the_one_thread_body(tmp_path):
+    # 2**19 minds are two windows, so two threads count them in a pool
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ghz{threads}.json"
+        status, loaded = loaded_modules("ghz", "--minds", str(2**19), "--threads", threads,
+                                        "--out", str(out))
+        assert status == 0
+        assert ("concurrent.futures" in loaded) == (threads == "2" and (os.cpu_count() or 1) > 1)
+        bodies.append(load(out)["body"])
+    assert bodies[0] == bodies[1]
+
+
+def test_default_chsh_axes_are_defined_once():
+    assert cli.RunConfig(command="chsh").axes is epr.DEFAULT_CHSH_AXES is quantum.DEFAULT_CHSH_AXES
 
 
 class TestConfigResolution:
@@ -493,7 +552,7 @@ class TestPhysicsFailureExit:
             return payload, checks, [["k", "v"]]
 
         monkeypatch.setitem(cli._COMMANDS, "enumerate",
-                            replace(cli._COMMANDS["enumerate"], runner=broken))
+                            cli._COMMANDS["enumerate"]._replace(runner=broken))
         status, out = run_to_file(tmp_path, ["enumerate"])
         assert status == 2
         assert load(out)["body"]["all_checks_passed"] is False
@@ -901,7 +960,7 @@ class TestStochasticChecks:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(cli._COMMANDS, "enumerate",
-                       replace(cli._COMMANDS["enumerate"], runner=sampled))
+                       cli._COMMANDS["enumerate"]._replace(runner=sampled))
             status, report = cli.run(cli.RunConfig("enumerate"))
         checks = report["body"]["checks"]
         assert checks[-1] == {"name": "exact", "passed": True, "detail": ""}

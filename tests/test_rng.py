@@ -1,4 +1,5 @@
 """Counter-based stream determinism and inverse-CDF sampling."""
+import concurrent.futures
 import sys
 import math
 from collections import Counter
@@ -218,12 +219,13 @@ class TestLimits:
     def test_pool_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
         seen = []
 
-        class Recording(rng_mod.ThreadPoolExecutor):
+        class Recording(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 seen.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(rng_mod, "ThreadPoolExecutor", Recording)
+        # count_windows imports the pool class from here when it needs a pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(rng_mod, "CHUNK", 64)
         spec = RngSpec(99, threads=threads)

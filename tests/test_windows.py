@@ -5,6 +5,7 @@ and mind i reads draw i of each stream. So neither the window size
 (``rng.CHUNK``) nor the worker count (``--threads``) may change a body, and
 the memory a run takes must not grow with its number of windows.
 """
+import concurrent.futures
 import json
 import math
 
@@ -76,13 +77,13 @@ def test_threads_set_only_the_worker_count(tmp_path, monkeypatch):
         built.append(scope)
         return stream(self, *scope)
 
-    class Recording(rng_mod.ThreadPoolExecutor):
+    class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(RngSpec, "stream", counted_stream)
-    monkeypatch.setattr(rng_mod, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(rng_mod.os, "cpu_count", lambda: 2)
     n = 2_000_000
     generators = []
