@@ -267,9 +267,9 @@ def chsh_monte_carlo(a, a_prime, b, b_prime, n_per_pair: int, rng: RngSpec) -> f
         probs.append([joint.get(o, 0.0) for o in (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))])
 
     def count(start, stop):
-        return code_counts(stop - start, [
+        return code_counts(stop - start, (
             sample_indices(rng.uniforms(stop - start, "chsh", k, start=start), p)
-            for k, p in enumerate(probs)], (4, 4, 4, 4))
+            for k, p in enumerate(probs)), (4, 4, 4, 4))
 
     counts = rng.count_windows(n_per_pair, count).reshape(4, 4, 4, 4)
     # a sum of n terms of +-1.0 is exact, so each term rounds once, as a mean of signs does

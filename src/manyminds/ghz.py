@@ -214,9 +214,9 @@ def simulate_scenarios(n_triples: int, rng: RngSpec) -> ScenarioSample:
         probs.append([dist.get(t, 0.0) for t in allowed])
 
     def count(start, stop):
-        return code_counts(stop - start, [
+        return code_counts(stop - start, (
             sample_indices(rng.uniforms(stop - start, "ghz", scen.index, start=start), p)
-            for scen, p in zip(SCENARIOS, probs)], (4, 4, 4, 4))
+            for scen, p in zip(SCENARIOS, probs)), (4, 4, 4, 4))
 
     counts = rng.count_windows(n_triples, count)
     counts.flags.writeable = False

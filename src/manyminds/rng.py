@@ -21,9 +21,9 @@ __all__ = ["CHUNK", "RngSpec", "code_counts", "sample_indices"]
 
 # Philox.advance(k) skips 4k doubles; window starts must sit on 4-draw blocks.
 _BLOCK = 4
-# draws per window, a multiple of _BLOCK; 2**16 to 2**20 drew 1e6 and 4e6
-# uniforms as fast as one whole array (2-core VM, 1 and 2 threads)
-CHUNK = 2**18
+# draws per window, a multiple of _BLOCK: 1 MiB of float64, half a core's 2 MiB L2 (2-core
+# VM); 2**18 sampled as fast with 3-4 MB more RSS at 2 threads, 2**16 and 2**15 slower
+CHUNK = 2**17
 
 # joins the scope parts of a key; inside a part it would let two scopes collide
 _SEP = "\x1f"
@@ -79,7 +79,8 @@ class RngSpec:
         """Sum of the int64 counts ``count(start, stop)`` over the windows of
         the grid ``range(0, n, CHUNK)``, added in place. Each of the
         ``min(threads, os.cpu_count())`` workers counts every workers-th window,
-        so memory is bounded by ``CHUNK`` and no count depends on ``threads``."""
+        so no count depends on ``threads``, and memory is bounded by one window:
+        a tree, ghz or chsh one holds ``CHUNK`` float64 draws, two index columns and a code."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         windows = range(0, n, CHUNK)
@@ -100,11 +101,13 @@ class RngSpec:
 
 def code_counts(size: int, columns, radices: tuple) -> np.ndarray:
     """Counts of the ``size`` rows of index columns, flat in the order of one mixed-radix
-    code (first column most significant, as ``reshape(radices)`` reads it) in the
-    smallest type that holds the product of ``radices``, so every radix fits in it too."""
+    code (first column most significant, as ``reshape(radices)`` reads it) in the smallest
+    type that holds the product of ``radices``, so every radix fits in it too. ``columns``
+    is any iterable, read one at a time, of any integer type holding values in ``[0, radix)``."""
     code = np.zeros(size, np.min_scalar_type(math.prod(radices)))
     for column, radix in zip(columns, radices):
-        code = code * radix + column
+        np.multiply(code, radix, out=code, casting="unsafe")
+        np.add(code, column, out=code, casting="unsafe")
     return np.bincount(code, minlength=math.prod(radices))
 
 

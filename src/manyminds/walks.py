@@ -172,9 +172,9 @@ def random_walk(tree: Tree, n_walkers: int, rng: RngSpec) -> WalkResult:
     active = tree.active_events
 
     def count(start, stop):
-        return code_counts(stop - start, [
+        return code_counts(stop - start, (
             sample_indices(rng.uniforms(stop - start, "tree", e.event_id, start=start), e.probs)
-            for e in active], tuple(len(e.probs) for e in active))
+            for e in active), tuple(len(e.probs) for e in active))
 
     return WalkResult(tree, rng.count_windows(n_walkers, count), n_walkers)
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from manyminds import cli
 from manyminds import epr, ghz, quantum
-from manyminds.rng import sample_indices
+from manyminds.rng import CHUNK, sample_indices
 from manyminds.walks import WalkResult, build_tree, random_walk, tree_spec_from_json
 
 
@@ -259,11 +259,11 @@ def test_each_command_loads_only_its_own_layers(argv, tmp_path, tree_spec_path):
 
 
 def test_a_fresh_pool_run_gives_the_one_thread_body(tmp_path):
-    # 2**19 minds are two windows, so two threads count them in a pool
+    # 2 * CHUNK minds are two windows, so two threads count them in a pool
     bodies = []
     for threads in ("1", "2"):
         out = tmp_path / f"ghz{threads}.json"
-        status, loaded = loaded_modules("ghz", "--minds", str(2**19), "--threads", threads,
+        status, loaded = loaded_modules("ghz", "--minds", str(2 * CHUNK), "--threads", threads,
                                         "--out", str(out))
         assert status == 0
         assert ("concurrent.futures" in loaded) == (threads == "2" and (os.cpu_count() or 1) > 1)

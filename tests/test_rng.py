@@ -187,6 +187,20 @@ class TestCodeCounts:
         cells = (np.unravel_index(k, table.shape) for k in np.flatnonzero(table))
         assert {tuple(map(int, c)): int(table[c]) for c in cells} == +seen
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=st.lists(st.integers(1, 30), max_size=4),
+           n=st.integers(0, 200), signed=st.booleans(), numpy_radices=st.booleans())
+    def test_a_generator_counts_as_its_list(self, data, shape, n, signed, numpy_radices):
+        # columns are added in place one at a time, whatever iterable carries them and
+        # whatever integer type the columns and radices have; up to 30**4 cells, the
+        # code goes from uint8 to uint32
+        columns = [np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+                              dtype=np.int64 if signed else np.min_scalar_type(k - 1))
+                   for k in shape]
+        radices = tuple(map(np.int64, shape)) if numpy_radices else tuple(shape)
+        assert np.array_equal(code_counts(n, (c for c in columns), radices),
+                              code_counts(n, columns, tuple(shape)))
+
     @pytest.mark.parametrize("shape", [(256,), (1, 256), (256, 1), (65536,), (1, 1, 65536),
                                        (16, 16), (255,)])
     def test_radix_as_large_as_the_product(self, shape):

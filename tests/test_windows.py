@@ -8,14 +8,15 @@ the memory a run takes must not grow with its number of windows.
 import concurrent.futures
 import json
 import math
+from collections.abc import Iterator
 
 import pytest
 import tracemalloc
 
-from manyminds import cli
+from manyminds import cli, epr, ghz, walks
 from manyminds import rng as rng_mod
-from manyminds.rng import RngSpec
-from manyminds.walks import SKIP, TreeSpec, build_tree, random_walk
+from manyminds.rng import RngSpec, code_counts
+from manyminds.walks import SKIP, TreeEvent, TreeSpec, build_tree, random_walk
 from test_golden import CASES, GOLDEN, TREE_SPEC, render_body
 
 SAMPLING = ("tree", "epr_joint", "epr_independent", "epr_bob45", "hulk_independent",
@@ -105,3 +106,41 @@ def test_tree_without_a_measured_event_counts_every_walker(monkeypatch):
     for threads in (1, 2):
         result = random_walk(build_tree(TreeSpec((SKIP,))), 10, RngSpec(1, threads=threads))
         assert result.counts.tolist() == [10]
+
+
+@pytest.mark.parametrize("module, sample", [
+    (walks, lambda rng: random_walk(build_tree(TreeSpec((
+        TreeEvent("a", (0.5, 0.5)), TreeEvent("b", (0.25, 0.75))))), 100, rng)),
+    (epr, lambda rng: epr.chsh_monte_carlo(*epr.DEFAULT_CHSH_AXES, 100, rng)),
+    (ghz, lambda rng: ghz.simulate_scenarios(100, rng)),
+])
+def test_sampled_columns_reach_code_counts_one_at_a_time(module, sample, monkeypatch):
+    # a list would hold every index column of a window before any is counted
+    passed = []
+
+    def spy(size, columns, radices):
+        passed.append(columns)
+        return code_counts(size, columns, radices)
+
+    monkeypatch.setattr(module, "code_counts", spy)
+    sample(RngSpec(8))
+    assert passed and all(isinstance(columns, Iterator) for columns in passed), passed
+
+
+def test_a_window_holds_one_draw_column_and_two_index_columns(monkeypatch):
+    # 16 binary events at one window of W walkers. Sampling holds the 8W bytes of one
+    # draw column, its 1-byte comparison mask, two 1-byte index columns and the 4-byte
+    # (uint32) code: 15W. Counting holds the code, the 8-byte intp copy bincount makes
+    # of it, the last index column and 2**16 int64 counts: 13W + 512 KiB. A window
+    # that held all 16 index columns would peak at 32W.
+    window = 2**17
+    monkeypatch.setattr(rng_mod, "CHUNK", window)
+    tree = build_tree(TreeSpec(tuple(TreeEvent(f"e{k}", (1 / 3, 2 / 3)) for k in range(16))))
+    random_walk(tree, window, RngSpec(3))  # first-use caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        random_walk(tree, window, RngSpec(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(15 * window, 13 * window + 8 * 2**16) + SLACK, peak
