@@ -11,3 +11,5 @@ independent-local or jointly-correlated sampling, the single-mind mismatch
 __version__ = "0.1.0"
 
 SCHEMA_VERSION = 3
+
+ATOL = 1e-9  # default comparison tolerance

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import SCHEMA_VERSION, __version__
+from . import ATOL, SCHEMA_VERSION, __version__
 from .quantum import (DEFAULT_CHSH_AXES, PhysicsAssertionError, branch_decompose,
                       partial_trace, trace_distance)
 from .rng import RngSpec
@@ -38,7 +38,6 @@ from .walks import (build_tree, chi_square_pvalue, chi_square_tail, load_tree_sp
 __all__ = ["Records", "RunConfig", "UsageError", "run", "main"]
 
 ALPHA = 1e-4  # family-wise false-alarm rate of one report's stochastic checks
-EXACT_TOL = 1e-9
 # a Pearson chi-square check runs only when every cell or leaf of positive
 # probability expects this many counts; below it the chi-square law is no fit
 MIN_EXPECTED = 100
@@ -116,7 +115,7 @@ def _stochastic(name: str, statistic: float, p_value: float, detail: str) -> dic
 def _normal(name: str, estimate: float, expected: float, se: float, detail: str) -> dict:
     """Two-sided normal test of an estimate; ``se == 0`` makes it an exact check."""
     if se == 0:
-        return _check(name, abs(estimate - expected) <= EXACT_TOL, detail)
+        return _check(name, abs(estimate - expected) <= ATOL, detail)
     z = (estimate - expected) / se
     return _stochastic(name, z, math.erfc(abs(z) / math.sqrt(2.0)), detail)
 
@@ -137,9 +136,11 @@ def _run_tree(config: RunConfig):
         "event_marginals": {e.event_id: result.event_marginal(e.event_id)
                             for e in tree.active_events},
     }
+    # the leaves are the events' outer product, so they sum to the product of the events' sums
+    total = float(tree.probs.sum())
+    events_total = math.prod(math.fsum(e.probs) for e in tree.active_events)
     checks = [
-        _check("leaf_probabilities_normalized", abs(float(tree.probs.sum()) - 1.0) < EXACT_TOL,
-               f"sum {float(tree.probs.sum())!r}"),
+        _check("leaf_probabilities_normalized", abs(total - events_total) < ATOL, f"sum {total!r}"),
     ]
     # below the gate, or with one leaf (df = 0), the chi-square law tests nothing
     positive = tree.probs[tree.probs > 0]
@@ -162,7 +163,7 @@ def _run_epr(config: RunConfig):
     # each wing's outcome determines the other's report only for aligned or
     # anti-aligned axes; otherwise the consistency check has no deterministic
     # target and the communication step is skipped
-    reports_determined = abs(abs(exact) - 1.0) < EXACT_TOL
+    reports_determined = abs(abs(exact) - 1.0) < ATOL
     run = (epr_mod.communicate_and_check if reports_determined else epr_mod.run_epr)(ecfg)
     rec = run.record
 
@@ -185,7 +186,7 @@ def _run_epr(config: RunConfig):
         "alice_trace_distance_vs_z_bob": dist,
     }
     checks = [
-        _check("no_signaling_trace_distance", dist < EXACT_TOL, f"{dist:.3g}"),
+        _check("no_signaling_trace_distance", dist < ATOL, f"{dist:.3g}"),
     ]
     if reports_determined:
         checks.append(_check("report_consistency", rec.report_consistent is True,
@@ -276,14 +277,14 @@ def _run_ghz(config: RunConfig):
     }
     checks = [
         _check("constraint_table",
-               all(abs(r["expectation"] - r["required"]) < EXACT_TOL
-                   and abs(r["variance"]) < EXACT_TOL
+               all(abs(r["expectation"] - r["required"]) < ATOL
+                   and abs(r["variance"]) < ATOL
                    for r in constraint_rows.values()),
                "expectations (-1,+1,+1,+1) with zero variance"),
         _check("local_assignment_enumeration", (total, satisfying) == (64, 0),
                f"{satisfying} of {total} assignments satisfy all four products"),
         _check("branch_weights_quarter",
-               all(abs(w - 0.25) < EXACT_TOL for per in weights.values()
+               all(abs(w - 0.25) < ATOL for per in weights.values()
                    for w in per.values()),
                "every allowed triple carries weight 1/4"),
         _check("pigeonhole_floor", report.max_frequency >= 1 / 256,
@@ -311,7 +312,7 @@ def _run_chsh(config: RunConfig):
                                       ("a',b", (ap, b)), ("a',b'", (ap, bp)))]
     # the four pair estimates are independent, so variances add; |E| = 1 adds none
     se = math.sqrt(sum(1.0 - r["exact"] ** 2 for r in pair_rows
-                       if abs(abs(r["exact"]) - 1.0) >= EXACT_TOL) / config.trials)
+                       if abs(abs(r["exact"]) - 1.0) >= ATOL) / config.trials)
 
     payload = {
         "axes": [str(x) for x in config.axes],
@@ -323,7 +324,7 @@ def _run_chsh(config: RunConfig):
     checks = [
         _normal("estimate_matches_exact", estimate, exact, se,
                 f"estimate {estimate:.6f} vs exact {exact:.6f}"),
-        _check("quantum_bound", exact <= 2.0 * math.sqrt(2.0) + EXACT_TOL,
+        _check("quantum_bound", exact <= 2.0 * math.sqrt(2.0) + ATOL,
                f"exact {exact:.9f} <= 2*sqrt(2)"),
     ]
     table = [["pair", "exact_expectation"]]

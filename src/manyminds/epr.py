@@ -40,7 +40,6 @@ from .quantum import (
     expectation,
     premeasure,
     ready_state,
-    spin_product,
     tensor,
 )
 from .rng import RngSpec, code_counts, sample_indices
@@ -247,7 +246,7 @@ def hulk_demo(trials: int, rng: RngSpec, *, policy: SamplingPolicy = SINGLE_MIND
 
 def correlation(alice_axis, bob_axis) -> float:
     """Exact <sigma_a x sigma_b> on the singlet; -cos(angle between axes)."""
-    return expectation(singlet(), spin_product({"p1": alice_axis, "p2": bob_axis}))
+    return expectation(singlet(), {"p1": alice_axis, "p2": bob_axis})
 
 
 def chsh(a, a_prime, b, b_prime) -> float:

@@ -28,7 +28,6 @@ from .quantum import (
     SubsystemLayout,
     branch_decompose,
     expectation,
-    spin_product,
     variance,
 )
 from .rng import RngSpec, code_counts, sample_indices
@@ -105,8 +104,8 @@ def verify_constraints(state: StateVector) -> dict[Scenario, tuple[float, float]
         raise ValueError("constraint check needs a three-qubit state")
     out = {}
     for scen in SCENARIOS:
-        op = spin_product(dict(zip(names, scen.axes)))
-        out[scen] = (expectation(state, op), variance(state, op))
+        axes = dict(zip(names, scen.axes))
+        out[scen] = (expectation(state, axes), variance(state, axes))
     return out
 
 

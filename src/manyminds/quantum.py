@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ATOL
+
 __all__ = [
     "ATOL",
     "PRUNE_TOL",
@@ -35,7 +37,6 @@ __all__ = [
     "PhysicsAssertionError",
     "SubsystemLayout",
     "StateVector",
-    "Operator",
     "Branch",
     "BranchDecomposition",
     "DensityMatrix",
@@ -43,7 +44,6 @@ __all__ = [
     "axis_basis",
     "DEFAULT_CHSH_AXES",
     "pauli",
-    "spin_product",
     "ready_state",
     "tensor",
     "premeasure",
@@ -55,7 +55,6 @@ __all__ = [
     "conditional_distribution",
 ]
 
-ATOL = 1e-9        # default comparison tolerance
 PRUNE_TOL = 1e-12  # branch-pruning threshold on Born weight
 MAX_DIM = 2**14    # dense amplitude storage; largest supported total dimension
 
@@ -204,34 +203,6 @@ class StateVector:
         return self.amps.reshape(self.layout.dims)
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Square matrix acting on a named subset of subsystems (layout order)."""
-
-    subsystems: tuple[str, ...]
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "subsystems", tuple(self.subsystems))
-
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= ATOL)
-
-
-def spin_product(axes_by_name: dict) -> Operator:
-    """Tensor product of single-qubit spin observables, e.g. sigma_x^1 sigma_y^2."""
-    names = tuple(axes_by_name)
-    mat = np.array([[1.0 + 0j]])
-    for name in names:
-        mat = np.kron(mat, pauli(axes_by_name[name]))
-    return Operator(names, mat)
-
-
 class Branch(NamedTuple):
     """One outcome-labeled term of a decomposition; weight is |amplitude|^2."""
 
@@ -312,17 +283,11 @@ def tensor(states: list[StateVector]) -> StateVector:
     """Product state; the layout is the concatenation of the factor layouts."""
     if not states:
         raise ValueError("tensor() needs at least one state")
-    seen: set[str] = set()
-    subsystems: list[tuple[str, tuple[str, ...]]] = []
+    layout = SubsystemLayout(tuple(sub for st in states for sub in st.layout.subsystems))
     amps = np.array([1.0 + 0j])
     for st in states:
-        for name, labels in st.layout.subsystems:
-            if name in seen:
-                raise ValueError(f"subsystem name collision: {name!r}")
-            seen.add(name)
-            subsystems.append((name, labels))
         amps = np.kron(amps, st.amps)
-    return StateVector(SubsystemLayout(tuple(subsystems)), amps)
+    return StateVector(layout, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -439,33 +404,34 @@ def branch_decompose(state: StateVector, contexts: dict) -> BranchDecomposition:
     return BranchDecomposition(tuple(names), branches)
 
 
-def expectation(state: StateVector, observable: Operator) -> float:
-    """<state|A|state> for a Hermitian observable on a named subsystem subset."""
-    if not observable.is_hermitian():
-        raise ValueError("observable is not Hermitian")
-    value = _matrix_element(state, observable)
-    if abs(value.imag) > ATOL:
-        raise ValueError(f"expectation has imaginary part {value.imag}")
-    return float(value.real)
-
-
-def variance(state: StateVector, observable: Operator) -> float:
-    """<A^2> - <A>^2; zero (within tolerance) exactly on eigenstates."""
-    squared = Operator(observable.subsystems, observable.matrix @ observable.matrix)
-    return expectation(state, squared) - expectation(state, observable) ** 2
-
-
-def _matrix_element(state: StateVector, op: Operator) -> complex:
+def _spin_product(state: StateVector, axes: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes as rows over the named qubits, and the matrix of the product of
+    ``pauli(axis)`` over ``axes`` (qubit name -> axis), both in the map's order."""
     lay = state.layout
-    axes = [lay.axis(name) for name in op.subsystems]
-    dims = [lay.dims[a] for a in axes]
-    if op.matrix.shape[0] != int(np.prod(dims)):
-        raise ValueError(
-            f"operator dimension {op.matrix.shape[0]} does not match subsystems {op.subsystems}")
-    moved = np.moveaxis(state.tensor_amps, axes, range(-len(axes), 0))
-    flat = moved.reshape(-1, int(np.prod(dims)))
-    applied = flat @ op.matrix.T
-    return complex(np.vdot(flat, applied))
+    if not_qubits := [name for name in axes if len(lay.labels(name)) != 2]:
+        raise ValueError(f"a spin product acts on qubits, not on {not_qubits}")
+    mat = np.array([[1.0 + 0j]])
+    for name in axes:
+        mat = np.kron(mat, pauli(axes[name]))
+    moved = np.moveaxis(state.tensor_amps, [lay.axis(name) for name in axes], range(-len(axes), 0))
+    return moved.reshape(-1, len(mat)), mat
+
+
+def _mean(flat: np.ndarray, mat: np.ndarray) -> float:
+    return float(np.vdot(flat, flat @ mat.T).real)
+
+
+def expectation(state: StateVector, axes: dict) -> float:
+    """<state|A|state> for the spin product A of one axis per named qubit,
+    e.g. {"p1": "x", "p2": 45.0} for sigma_x^1 sigma_45^2."""
+    return _mean(*_spin_product(state, axes))
+
+
+def variance(state: StateVector, axes: dict) -> float:
+    """<A^2> - <A>^2 for the spin product ``expectation`` takes; zero (within
+    tolerance) exactly on eigenstates."""
+    flat, mat = _spin_product(state, axes)
+    return _mean(flat, mat @ mat) - _mean(flat, mat) ** 2
 
 
 def partial_trace(state: StateVector, keep: str) -> DensityMatrix:

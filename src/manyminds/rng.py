@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ATOL
+
 __all__ = ["CHUNK", "RngSpec", "code_counts", "sample_indices"]
 
 # Philox.advance(k) skips 4k doubles; window starts must sit on 4-draw blocks.
@@ -134,7 +136,7 @@ def sample_indices(uniforms: np.ndarray, probs: np.ndarray, rows=0) -> np.ndarra
     if np.isnan(table).any() or (table < 0).any():
         raise ValueError(f"probabilities must be non-negative numbers, got {probs}")
     cum = np.cumsum(table, axis=1)
-    unnormalized = np.abs(cum[:, -1] - 1.0) > 1e-9
+    unnormalized = np.abs(cum[:, -1] - 1.0) > ATOL
     if unnormalized.any():
         raise ValueError(f"probabilities sum to {cum[unnormalized, -1][0]}, expected 1")
     last = table.shape[1] - 1 - np.argmax(table[:, ::-1] > 0, axis=1)

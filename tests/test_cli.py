@@ -167,6 +167,17 @@ class TestCommands:
         body = json.loads(out.read_text(), parse_constant=reject)["body"]
         assert body["all_checks_passed"] is True
 
+    @pytest.mark.parametrize("events", [[[0.3333333333] * 3] * 10, [[0.5, 0.5000000009]] * 2],
+                             ids=["ten-thirds", "two-halves"])
+    def test_tree_whose_events_each_sum_to_one_within_tolerance(self, tmp_path, events):
+        # each event passes its own sum check, but their errors add up over the leaves,
+        # whose sum build_tree compared with 1 and refused: exit 1
+        spec = write_tree_spec(tmp_path, events)
+        status, out = run_to_file(tmp_path, ["tree", "--spec", spec, "--minds", "1000"])
+        assert status == 0
+        checks = {c["name"]: c["passed"] for c in load(out)["body"]["checks"]}
+        assert checks["leaf_probabilities_normalized"] is True
+
 
 COLD_START = textwrap.dedent("""
     import json, os, sys
@@ -557,6 +568,19 @@ class TestPhysicsFailureExit:
         assert status == 2
         assert load(out)["body"]["all_checks_passed"] is False
         assert "impossible" in capsys.readouterr().err
+
+    def test_leaves_that_are_not_the_events_outer_product_exit_two(self, tmp_path, monkeypatch,
+                                                                   tree_spec_path):
+        def skewed(spec):
+            tree = build_tree(spec)
+            return type(tree)(tree.spec, tree.probs * (1 + 1e-6))
+
+        monkeypatch.setattr(cli, "build_tree", skewed)
+        # 100 walkers expect too few per leaf for the chi-square fit, which would refuse the sum
+        status, out = run_to_file(tmp_path, ["tree", "--spec", tree_spec_path, "--minds", "100"])
+        assert status == 2
+        checks = {c["name"]: c["passed"] for c in load(out)["body"]["checks"]}
+        assert checks["leaf_probabilities_normalized"] is False
 
 
 # JSON values a report may hold: string keys; text with JSON and format

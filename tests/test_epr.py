@@ -37,7 +37,6 @@ from manyminds.quantum import (
     SubsystemLayout,
     branch_decompose,
     expectation,
-    spin_product,
     tensor,
 )
 from manyminds.rng import RngSpec, code_counts, sample_indices
@@ -85,8 +84,8 @@ class TestSinglet:
         assert ratio == pytest.approx(-1.0, abs=1e-9)
 
     def test_expectations(self):
-        assert expectation(singlet(), spin_product({"p1": "z", "p2": "z"})) == pytest.approx(-1.0, abs=1e-12)
-        assert expectation(singlet(), spin_product({"p1": "z"})) == pytest.approx(0.0, abs=1e-12)
+        assert expectation(singlet(), {"p1": "z", "p2": "z"}) == pytest.approx(-1.0, abs=1e-12)
+        assert expectation(singlet(), {"p1": "z"}) == pytest.approx(0.0, abs=1e-12)
 
     def test_correlation_is_minus_cosine(self):
         assert correlation(0.0, 60.0) == pytest.approx(-0.5, abs=1e-9)

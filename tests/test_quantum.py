@@ -21,7 +21,6 @@ from manyminds.quantum import (
     BranchDecomposition,
     DensityMatrix,
     NormalizationError,
-    Operator,
     PreconditionError,
     StateVector,
     SubsystemLayout,
@@ -34,7 +33,6 @@ from manyminds.quantum import (
     pauli,
     premeasure,
     ready_state,
-    spin_product,
     tensor,
     trace_distance,
     variance,
@@ -75,6 +73,13 @@ def kron_chain(mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def sigma_oracle(axis):
+    """sigma.n from the literal Pauli matrices and the axis' unit vector."""
+    n = axis_vector(axis)
+    return (n[0] * np.array([[0, 1], [1, 0]]) + n[1] * np.array([[0, -1j], [1j, 0]])
+            + n[2] * np.array([[1, 0], [0, -1]]))
 
 
 def expectation_oracle(state, mats):
@@ -205,7 +210,7 @@ def test_only_names_and_angles_are_axes(refused):
                  lambda: pauli(refused), lambda: premeasure(qubit, "s", refused, "m"),
                  lambda: branch_decompose(qubit, {"s": refused}),
                  lambda: branch_decompose(ready_state("q", ("a", "b")), {"q": refused}),
-                 lambda: spin_product({"s": refused}),
+                 lambda: expectation(qubit, {"s": refused}),
                  lambda: EprConfig(RngSpec(1), alice_axis=refused),
                  lambda: EprConfig(RngSpec(1), bob_axis=refused)):
         with pytest.raises(ValueError):
@@ -226,7 +231,7 @@ def test_tensor_product_amplitude():
 
 
 def test_tensor_name_collision():
-    with pytest.raises(ValueError, match="collision"):
+    with pytest.raises(ValueError, match="duplicate subsystem names"):
         tensor([make_qubit_state("s", 1, 0), make_qubit_state("s", 0, 1)])
 
 
@@ -488,7 +493,7 @@ def test_ghz_scenario_expectations():
         ("y", "y", "x"): 1.0,
     }
     for axes, want in table.items():
-        obs = spin_product(dict(zip(("p1", "p2", "p3"), axes)))
+        obs = dict(zip(("p1", "p2", "p3"), axes))
         assert expectation(state, obs) == pytest.approx(want, abs=1e-12)
         assert variance(state, obs) == pytest.approx(0.0, abs=1e-9)
 
@@ -496,31 +501,52 @@ def test_ghz_scenario_expectations():
 @pytest.mark.parametrize("theta_deg", [0, 30, 45, 60, 90, 120, 180])
 def test_singlet_correlation_minus_cosine(theta_deg):
     state = singlet()
-    obs = spin_product({"p1": "z", "p2": float(theta_deg)})
-    got = expectation(state, obs)
+    got = expectation(state, {"p1": "z", "p2": float(theta_deg)})
     # oracle: full matrix assembled independently
-    n = axis_vector(float(theta_deg))
-    sigma_b = n[0] * np.array([[0, 1], [1, 0]]) + n[2] * np.array([[1, 0], [0, -1]])
-    want = expectation_oracle(state, [np.array([[1, 0], [0, -1]]), sigma_b])
+    want = expectation_oracle(state, [sigma_oracle("z"), sigma_oracle(float(theta_deg))])
     assert got == pytest.approx(want.real, abs=1e-12)
     assert got == pytest.approx(-math.cos(math.radians(theta_deg)), abs=1e-12)
 
 
 def test_singlet_local_expectation_zero():
-    obs = Operator(("p1",), pauli("z"))
-    assert expectation(singlet(), obs) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_expectation_rejects_non_hermitian():
-    bad = Operator(("p1",), np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError, match="Hermitian"):
-        expectation(singlet(), bad)
+    assert expectation(singlet(), {"p1": "z"}) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expectation_on_embedded_subsystems():
     st = tensor([singlet(), ready_state("m", ("+", "-"))])
-    obs = spin_product({"p1": "z", "p2": "z"})
-    assert expectation(st, obs) == pytest.approx(-1.0, abs=1e-12)
+    assert expectation(st, {"p1": "z", "p2": "z"}) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_spin_product_refuses_a_subsystem_that_is_not_a_qubit():
+    st = tensor([singlet(), ready_state("m", ("+", "-"))])  # m has dimension 3
+    for call in (expectation, variance):
+        with pytest.raises(ValueError, match=r"acts on qubits, not on \['m'\]"):
+            call(st, {"p1": "z", "m": "z"})
+
+
+@st.composite
+def qubits_and_axes(draw):
+    """A random state of 1-4 qubits and an axis for a random subset of them,
+    named in random order, so a map's order differs from the layout's."""
+    n = draw(st.integers(1, 4))
+    layout = SubsystemLayout(tuple((f"q{i}", ("+", "-")) for i in range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    names = draw(st.permutations(layout.names))[:draw(st.integers(0, n))]
+    axis = st.one_of(st.sampled_from("xyz"), st.floats(-720, 720))
+    return StateVector(layout, raw / np.linalg.norm(raw)), {name: draw(axis) for name in names}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=qubits_and_axes())
+def test_spin_product_matches_full_matrix_oracle(case):
+    state, axes = case
+    mats = [sigma_oracle(axes[name]) if name in axes else np.eye(2) for name in state.layout.names]
+    mean = expectation_oracle(state, mats).real
+    full = kron_chain(mats)
+    assert expectation(state, axes) == pytest.approx(mean, abs=1e-12)
+    assert variance(state, axes) == pytest.approx(
+        np.vdot(state.amps, full @ full @ state.amps).real - mean ** 2, abs=1e-12)
 
 
 # Reduced states -------------------------------------------------------------
