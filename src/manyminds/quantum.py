@@ -404,7 +404,7 @@ def branch_decompose(state: StateVector, contexts: dict) -> BranchDecomposition:
     return BranchDecomposition(tuple(names), branches)
 
 
-def _spin_product(state: StateVector, axes: dict) -> tuple[np.ndarray, np.ndarray]:
+def _pauli_product(state: StateVector, axes: dict) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes as rows over the named qubits, and the matrix of the product of
     ``pauli(axis)`` over ``axes`` (qubit name -> axis), both in the map's order."""
     lay = state.layout
@@ -424,13 +424,13 @@ def _mean(flat: np.ndarray, mat: np.ndarray) -> float:
 def expectation(state: StateVector, axes: dict) -> float:
     """<state|A|state> for the spin product A of one axis per named qubit,
     e.g. {"p1": "x", "p2": 45.0} for sigma_x^1 sigma_45^2."""
-    return _mean(*_spin_product(state, axes))
+    return _mean(*_pauli_product(state, axes))
 
 
 def variance(state: StateVector, axes: dict) -> float:
     """<A^2> - <A>^2 for the spin product ``expectation`` takes; zero (within
     tolerance) exactly on eigenstates."""
-    flat, mat = _spin_product(state, axes)
+    flat, mat = _pauli_product(state, axes)
     return _mean(flat, mat @ mat) - _mean(flat, mat) ** 2
 
 
