@@ -5,7 +5,8 @@ Each invocation runs one experiment and emits a report with a header
 versions, timestamp) and a body. Bodies are deterministic functions of the
 configuration: re-running with the same seed and config reproduces them byte
 for byte regardless of --threads. Exit status is 0 on success, 1 on usage errors, and 2 when a
-physics check fails (a correct run fails a sampled check with chance at most ALPHA).
+physics check fails (a correct run fails a sampled check with chance at most ALPHA, except
+at small n epr's pair_correlation_band near parallel axes and chsh: see ROADMAP direction 8).
 
 Each command accepts only the flags and config-file keys it reads; flags take
 precedence over the config file (--config), and the seed is echoed into the report header.

@@ -11,9 +11,10 @@ histories grow. Two sampling policies are supported:
 * jointly-correlated: mind i of every observer receives one shared sample
   from the joint branch distribution, so mind-tuples track whole branches.
 
-All draws are counter-based per (mind, event): the uniform consumed by mind
-``i`` at event ``e`` is a pure function of the master seed, the observer/event
-scope, and ``i``. Histories are therefore bit-identical across re-runs,
+Draws are counter-based per (mind, event): the uniform consumed by mind ``i``
+at event ``e``, if any, is a pure function of the master seed, the
+observer/event scope, and ``i``. A split whose every row has one positive
+outcome consumes none. Histories are therefore bit-identical across re-runs,
 evaluation orders, worker-thread counts and splits of a run into windows.
 """
 from __future__ import annotations
@@ -112,9 +113,9 @@ class MindEnsemble:
 # Splitting
 
 
-def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
+def _draw(n: int, draw, probs: Mapping, outcomes: list, context: str,
           ensembles: list[MindEnsemble]) -> np.ndarray:
-    """Index into ``outcomes`` for every mind, by inverse CDF on ``u``.
+    """Index into ``outcomes`` for each of ``n`` minds, by inverse CDF on ``draw()``.
 
     ``probs`` maps each history key to a row {outcome: p}: ``()`` with no
     ``ensembles``, one observer's history with one, else a tuple of
@@ -122,6 +123,8 @@ def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
     columns down the prefixes of the keys, one lookup table per column, to
     the node of its key, which is its row; a history that no key has ends on
     node -1. Rows are dense in ``outcomes`` order; a zero entry is never drawn.
+    Rows are checked before any draw; where each has one positive outcome, every
+    mind takes its row's, as it would for any uniform, and ``draw`` is never called.
     """
     paths = {}  # each key's labels in column order, for keys of the histories' shape
     for key in probs:
@@ -129,25 +132,25 @@ def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
         if len(hists) == len(ensembles) and all(isinstance(h, tuple) and len(h) == len(e.events)
                                                 for h, e in zip(hists, ensembles)):
             paths[sum(hists, ())] = key
-    level, node = ({(): 0}, 0) if paths else ({}, -1)  # node of each prefix at this depth
+    level, node = ({(): 0}, np.intp(0)) if paths else ({}, np.intp(-1))  # node of each prefix
     columns = [(labels, col) for e in ensembles
                for labels, col in zip(e.outcome_labels, e.assignments)]
     for depth, (labels, col) in enumerate(columns):
         pos = {label: i for i, label in enumerate(labels)}
-        # one row per prefix node, and a last row that keeps node -1 on -1
+        # one row per prefix node, and a last row, onto which node -1's flat index wraps
         step, below = np.full((len(level) + 1, len(labels)), -1, np.intp), {}
         for path in paths:
             if path[:depth] in level and path[depth] in pos:
                 child = below.setdefault(path[:depth + 1], len(below))
                 step[level[path[:depth]], pos[path[depth]]] = child
-        level, node = below, step[node, col]
+        level, node = below, np.take(step, node * len(labels) + col)
     if np.any(node < 0):
         key = tuple(ens.history(np.argmax(node < 0)) for ens in ensembles)
         key = key[0] if len(ensembles) == 1 else key
         raise KeyError(f"{context}: no distribution for realized history {key!r}")
     rows = [[probs[paths[path]].get(o, 0.0) for o in outcomes] for path in level]
     try:
-        return sample_indices(u, rows, node)
+        sample_indices((), rows)
     except ValueError:  # name the split and the key of the first row sample_indices refuses
         for path, row in zip(level, rows):
             try:
@@ -155,6 +158,10 @@ def _draw(u: np.ndarray, probs: Mapping, outcomes: list, context: str,
             except ValueError as exc:
                 raise ValueError(f"{context} given {paths[path]!r}: {exc}") from None
         raise
+    positive = np.asarray(rows) > 0
+    if (positive.sum(axis=1) == 1).all():
+        return np.take(np.argmax(positive, axis=1), node if node.ndim else np.full(n, node))
+    return sample_indices(draw(), rows, node)
 
 
 def _extend(ens: MindEnsemble, event_id: str, labels: tuple, column) -> MindEnsemble:
@@ -182,9 +189,9 @@ def split_local(ensemble: MindEnsemble, event_id: str, probs: Mapping) -> MindEn
         raise ValueError(f"{context}: mixed unconditional and conditional keys")
     probs, keyed_by = (probs, [ensemble]) if conditional else ({(): probs}, [])
     labels = tuple(sorted({o for dist in probs.values() for o in dist}))
-    u = ensemble.rng.uniforms(ensemble.size, "local", ensemble.observer, event_id,
-                              start=ensemble.first)
-    chosen = _draw(u, probs, labels, context, keyed_by)
+    chosen = _draw(ensemble.size, lambda: ensemble.rng.uniforms(
+        ensemble.size, "local", ensemble.observer, event_id, start=ensemble.first),
+        probs, labels, context, keyed_by)
     return _extend(ensemble, event_id, labels, chosen)
 
 
@@ -227,7 +234,7 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
     if any(len(t) != len(ensembles) for t in tuples):
         raise ValueError(f"joint outcomes must have one label for each of {len(ensembles)} "
                          "observers")
-    chosen = _draw(rng.uniforms(n, "joint", event_id, start=first), dist, tuples,
+    chosen = _draw(n, lambda: rng.uniforms(n, "joint", event_id, start=first), dist, tuples,
                    f"split_joint({event_id!r})", keyed_by)
 
     out = []
@@ -235,7 +242,7 @@ def split_joint(ensembles: list[MindEnsemble], event_id: str, dist) -> list[Mind
         labels = tuple(sorted({t[pos] for t in tuples}))
         lookup = np.asarray([labels.index(t[pos]) for t in tuples],
                             np.min_scalar_type(len(labels) - 1))
-        out.append(_extend(ens, event_id, labels, lookup[chosen]))
+        out.append(_extend(ens, event_id, labels, np.take(lookup, chosen)))
     return out
 
 

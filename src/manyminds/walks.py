@@ -183,15 +183,16 @@ def chi_square_pvalue(result: WalkResult) -> float:
 
     Only leaves with positive expected count enter the statistic and the
     degrees of freedom. A walker on a zero-probability leaf gives p = 0, and
-    a fit with no degree of freedom left is exact, p = 1. Observed and
-    expected totals must agree to a relative sqrt(eps).
+    a fit with no degree of freedom left is exact, p = 1. The expected total must
+    match the walkers times the product of the events' sums to a relative sqrt(eps).
     """
     observed = np.asarray(result.counts, dtype=np.float64)
     expected = result.tree.probs * result.total
-    obs_sum, exp_sum = np.sum(observed), np.sum(expected)
+    exp_sum = np.sum(expected)
+    want = result.total * math.prod(math.fsum(e.probs) for e in result.tree.active_events)
     rtol = np.finfo(np.float64).eps ** 0.5
-    if abs(obs_sum - exp_sum) / min(obs_sum, exp_sum) > rtol:
-        raise ValueError(f"observed total {obs_sum} and expected total {exp_sum} "
+    if abs(want - exp_sum) / min(want, exp_sum) > rtol:
+        raise ValueError(f"expected total {exp_sum} and walkers times the events' sums {want} "
                          f"differ by more than a relative {rtol}")
     positive = expected > 0
     if np.any(observed[~positive]):

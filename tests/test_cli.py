@@ -167,11 +167,13 @@ class TestCommands:
         body = json.loads(out.read_text(), parse_constant=reject)["body"]
         assert body["all_checks_passed"] is True
 
-    @pytest.mark.parametrize("events", [[[0.3333333333] * 3] * 10, [[0.5, 0.5000000009]] * 2],
-                             ids=["ten-thirds", "two-halves"])
+    @pytest.mark.parametrize("events", [[[0.3333333333] * 3] * 10, [[0.5, 0.5000000009]] * 2,
+                                        [[1.0000000009]] * 20 + [[0.5, 0.5]]],
+                             ids=["ten-thirds", "two-halves", "twenty-ones"])
     def test_tree_whose_events_each_sum_to_one_within_tolerance(self, tmp_path, events):
         # each event passes its own sum check, but their errors add up over the leaves,
-        # whose sum build_tree compared with 1 and refused: exit 1
+        # whose sum build_tree compared with 1, and chi_square_pvalue with the walker
+        # total, at a relative 1.5e-8 (twenty-ones): exit 1
         spec = write_tree_spec(tmp_path, events)
         status, out = run_to_file(tmp_path, ["tree", "--spec", spec, "--minds", "1000"])
         assert status == 0

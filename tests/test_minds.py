@@ -1,8 +1,10 @@
 """Mind-ensemble splitting, proportions, mismatch and report consistency."""
+import json
 import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from manyminds import cli
 from manyminds.epr import EprConfig, run_epr
 from manyminds.minds import (
     INDEPENDENT_LOCAL,
@@ -156,7 +159,7 @@ def label_sample_by_class(u, class_of_mind, class_keys, table, outcomes):
 
 def label_split_local(ens, event_id, probs):
     """(labels, column) that ``split_local`` must append."""
-    u = ens.rng.uniforms(ens.size, "local", ens.observer, event_id)
+    u = ens.rng.uniforms(ens.size, "local", ens.observer, event_id, start=ens.first)
     if all(isinstance(k, tuple) for k in probs):
         labels = sorted({o for dist in probs.values() for o in dist})
         cls, keys = label_history_classes([ens])
@@ -176,8 +179,9 @@ def label_split_joint(ensembles, event_id, dist):
         table = dist
         cls, keys = label_history_classes(ensembles)
     tuples = sorted({t for row in table.values() for t in row})
-    chosen = label_sample_by_class(ensembles[0].rng.uniforms(n, "joint", event_id),
-                                   cls, keys, table, tuples)
+    chosen = label_sample_by_class(
+        ensembles[0].rng.uniforms(n, "joint", event_id, start=ensembles[0].first),
+        cls, keys, table, tuples)
     out = []
     for pos in range(len(ensembles)):
         labels = tuple(sorted({t[pos] for t in tuples}))
@@ -305,6 +309,16 @@ class TestSplitLocal:
         with pytest.raises(ValueError) as exc:
             split_local(ens, "m", probs)
         assert str(exc.value).startswith(f"split_local('m') given ('-',): {message}")
+
+    def test_nan_row_error_names_split_and_history(self, monkeypatch):
+        # the row is refused before any mind draws
+        ens = split_local(MindEnsemble("a", 8, RngSpec(1)), "first", {"+": 0.5, "-": 0.5})
+        monkeypatch.setattr(RngSpec, "uniforms", refuse_draw)
+        probs = {("+",): {"x": 0.5, "y": 0.5}, ("-",): {"x": math.nan, "y": 1.0}}
+        with pytest.raises(ValueError) as exc:
+            split_local(ens, "m", probs)
+        assert str(exc.value).startswith(
+            "split_local('m') given ('-',): probabilities must be non-negative numbers")
 
     @pytest.mark.parametrize("conditional", [False, True])
     def test_forty_thousand_outcomes_fill_a_uint16_column(self, conditional):
@@ -481,6 +495,97 @@ class TestSplitJoint:
         want = label_split_joint(ens, "next", table)
         assert all(same_column(g, w) for g, w in zip(got, want))
         assert [g[0] for g in got] == [("p", "q", "r"), ("p", "q", "r")]
+
+
+def refuse_draw(*args, **kwargs):
+    raise AssertionError("a split drew uniforms")
+
+
+@st.composite
+def mixed_rows(draw, keys, outcomes):
+    """A normalized row over ``outcomes`` per key: some with one positive
+    outcome (determined), others open; zero entries are kept or left out."""
+    table = {}
+    for key in keys:
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(outcomes),
+                                max_size=len(outcomes)).filter(any))
+        if draw(st.booleans()):
+            one = draw(st.sampled_from([o for o, w in zip(outcomes, weights) if w]))
+            weights = [int(o == one) for o in outcomes]
+        keep_zeros = draw(st.booleans())
+        table[key] = {o: w / sum(weights) for o, w in zip(outcomes, weights) if w or keep_zeros}
+    return table
+
+
+FIRST_LABELS = ("E", "H", "T")
+PAIRS = ((("x",), ("u",)), (("x",), ("v",)), (("y",), ("w",)))  # SKEWED's branches as keys
+
+
+class TestDeterminedRows:
+    """A row with one positive outcome leaves nothing open: every mind on it
+    takes that outcome, as ``sample_indices`` would for any uniform, and a
+    table of only such rows reads no draw."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), block=st.integers(0, 5),
+           first=st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+           table=mixed_rows([(h,) for h in FIRST_LABELS], ("p", "q", "r")))
+    def test_local_split_matches_label_reference(self, seed, n, block, first, table):
+        probs = {h: w / sum(first) for h, w in zip(FIRST_LABELS, first)}
+        ens = split_local(MindEnsemble("a", n, RngSpec(seed), first=4 * block), "first", probs)
+        got = last_column(split_local(ens, "second", table))
+        assert same_column(got, label_split_local(ens, "second", table))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), block=st.integers(0, 5),
+           table=mixed_rows(PAIRS, tuple(product("pq", "pr"))))
+    def test_joint_split_matches_label_reference(self, seed, n, block, table):
+        rng = RngSpec(seed)
+        ens = split_joint([MindEnsemble(o, n, rng, JOINTLY_CORRELATED, first=4 * block)
+                           for o in ("a", "b")], "first", SKEWED)
+        got = [last_column(e) for e in split_joint(ens, "second", table)]
+        want = label_split_joint(ens, "second", table)
+        assert all(same_column(g, w) for g, w in zip(got, want))
+
+    def test_determined_tables_draw_nothing(self, monkeypatch):
+        rng = RngSpec(7)
+        ens = split_local(MindEnsemble("a", 40, rng, first=8), "first", {"H": 0.5, "T": 0.5})
+        pair = split_joint([MindEnsemble(o, 40, rng, JOINTLY_CORRELATED, first=8)
+                            for o in ("a", "b")], "first", SKEWED)
+        monkeypatch.setattr(RngSpec, "uniforms", refuse_draw)
+        ens = split_local(ens, "second", {("H",): {"x": 0.0, "y": 1.0}, ("T",): {"x": 1.0}})
+        assert all(ens.history(i)[1] == {"H": "y", "T": "x"}[ens.history(i)[0]]
+                   for i in range(ens.size))
+        assert proportions(split_local(MindEnsemble("b", 40, rng), "m", {"x": 0.0, "y": 1.0}),
+                           "m") == {"x": Fraction(0), "y": Fraction(1)}
+        swap = {(a, b): {(b[0], a[0]): 1.0} for a, b in PAIRS}
+        a, b = split_joint(pair, "second", swap)
+        assert all(a.history(i)[1] == b.history(i)[0] and b.history(i)[1] == a.history(i)[0]
+                   for i in range(a.size))
+        p1, p2 = split_joint([MindEnsemble(o, 40, rng, JOINTLY_CORRELATED) for o in ("p1", "p2")],
+                             "m", PRODUCT_Z)
+        assert set(outcomes(p1, "m")) == set(outcomes(p2, "m")) == {"+"}
+
+    @pytest.mark.parametrize("policy, measure", [
+        ("joint", {("joint", "measure")}),
+        ("independent", {("local", "alice", "measure"), ("local", "bob", "measure")})])
+    @pytest.mark.parametrize("bob_axis, communication", [("z", "performed"), ("45", "skipped")])
+    def test_epr_draws_measure_scopes_only(self, monkeypatch, tmp_path, policy, measure,
+                                           bob_axis, communication):
+        # on aligned axes each mind's report is certain given its own outcome (and
+        # under joint, given the pair's), so the report split reads no draw
+        drawn, uniforms = [], RngSpec.uniforms
+
+        def spy(self, n, *scope, start=0):
+            drawn.append(scope)
+            return uniforms(self, n, *scope, start=start)
+
+        monkeypatch.setattr(RngSpec, "uniforms", spy)
+        out = tmp_path / "epr.json"
+        assert cli.main(["epr", "--minds", "1000", "--policy", policy, "--bob-axis", bob_axis,
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["body"]["communication"] == communication
+        assert set(drawn) == measure
 
 
 class TestMismatch:
