@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from itertools import chain, combinations, repeat
 from types import SimpleNamespace
@@ -161,11 +161,13 @@ def _run_epr(config: RunConfig):
         policy=SamplingPolicy(config.policy), n_minds=config.minds)
     exact = epr_mod.correlation(config.alice_axis, config.bob_axis)
 
-    # each wing's outcome determines the other's report only for aligned or
-    # anti-aligned axes; otherwise the consistency check has no deterministic
-    # target and the communication step is skipped
-    reports_determined = abs(abs(exact) - 1.0) < ATOL
-    run = (epr_mod.communicate_and_check if reports_determined else epr_mod.run_epr)(ecfg)
+    # each wing's outcome determines the other's report only where the pruned branches, which
+    # the report map reads, hold one per Alice outcome; elsewhere communication is skipped
+    state = epr_mod.prepare_state(ecfg)
+    pairs = branch_decompose(state, {"alice": None, "bob": None}).branches
+    reports_determined = len(pairs) == len({b.labels[0] for b in pairs})
+    run = (epr_mod.communicate_and_check(epr_mod.EprRun(ecfg, state, None))
+           if reports_determined else epr_mod.run_epr(ecfg))
     rec = run.record
 
     rows, cols = rec.pair_labels
@@ -180,7 +182,7 @@ def _run_epr(config: RunConfig):
         "alice_axis": _axis_text(config.alice_axis),
         "bob_axis": _axis_text(config.bob_axis),
         "communication": "performed" if reports_determined else "skipped",
-        "record": {**asdict(rec), "proportions": {obs: {lab: str(f) for lab, f in p.items()}
+        "record": {**rec._asdict(), "proportions": {obs: {lab: str(f) for lab, f in p.items()}
                                                   for obs, p in rec.proportions.items()}},
         "exact_correlation": exact,
         "empirical_pair_correlation": empirical,
@@ -414,8 +416,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return (0 if body["all_checks_passed"] else 2), report
 
 
-@dataclass(frozen=True)
-class Records:
+class Records(NamedTuple):
     """At least one record of one key set as a column per key, and no object per record:
     first one pair ``(heads, tails)`` of text lists whose record ``i * len(tails) + j`` is
     ``heads[i] + tails[j]``, then numpy arrays of integers or finite floats. JSON writes the

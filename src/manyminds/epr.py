@@ -10,9 +10,10 @@ and a CHSH quantity from exact expectations or joint-sampling estimates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +97,7 @@ class EprConfig:
             raise ValueError(f"n_minds must be >= 1, got {self.n_minds}")
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Outcome statistics of one run: index-paired contingency table of mind
     outcomes, mismatched-pair count, report-consistency flag."""
 
@@ -121,8 +121,7 @@ class RunRecord:
         return self.pair_counts[i][j]
 
 
-@dataclass(frozen=True)
-class EprRun:
+class EprRun(NamedTuple):
     """A completed experiment: global state and the counts of every mind."""
 
     config: EprConfig
@@ -227,7 +226,7 @@ def communicate_and_check(run: EprRun | EprConfig) -> EprRun:
     record = _make_record((labels[0], labels[2]), counts.sum(axis=(1, 3)), measured)
     checks = tuple(report_correlation(decomp, {"alice": (labels[:2], counts.sum(axis=(2, 3))),
                                                "bob": (labels[2:], counts.sum(axis=(0, 1)))}))
-    record = replace(record, report_consistent=all(c.all_consistent for c in checks))
+    record = record._replace(report_consistent=all(c.all_consistent for c in checks))
     return EprRun(run.config, state, record, checks)
 
 

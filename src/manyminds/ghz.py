@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +110,7 @@ def verify_constraints(state: StateVector) -> dict[Scenario, tuple[float, float]
     return out
 
 
-@dataclass(frozen=True)
-class ScenarioPartition:
+class ScenarioPartition(NamedTuple):
     """The four sign-triples a scenario permits, in lexicographic order."""
 
     scenario: Scenario
@@ -226,14 +226,13 @@ def simulate_scenarios(n_triples: int, rng: RngSpec) -> ScenarioSample:
 # Pigeonhole and sign flips
 
 
-@dataclass(frozen=True)
-class PigeonholeReport:
+class PigeonholeReport(NamedTuple):
     """256-cell histogram of a sample and its fullest cell."""
 
     n: int
-    counts: np.ndarray = field(repr=False)
-    max_cell_id: int = 0
-    max_frequency: Fraction = Fraction(0)
+    counts: np.ndarray
+    max_cell_id: int
+    max_frequency: Fraction
 
     @property
     def nonempty_cells(self) -> int:
@@ -250,16 +249,11 @@ def pigeonhole_report(sample: ScenarioSample) -> PigeonholeReport:
     return PigeonholeReport(len(sample), counts, top, Fraction(int(counts[top]), len(sample)))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """An observer whose sign differs between two same-axis scenarios."""
 
     observer: str
     scenarios: tuple[Scenario, Scenario]
-
-    @property
-    def axis(self) -> str:
-        return self.scenarios[0].axes[OBSERVERS.index(self.observer)]
 
 
 # scenario pairs in which one observer keeps the same local axis, by observer

@@ -366,13 +366,16 @@ def branch_decompose(state: StateVector, contexts: dict) -> BranchDecomposition:
     if not names:
         raise ValueError("contexts must list at least one subsystem")
 
+    # Each basis's columns go in label order, so C order over the measured axes
+    # is the lexicographic order of the branch label tuples.
     amps = state.tensor_amps
-    out_labels: dict[str, tuple[str, ...]] = {}
+    sorted_labels = []
     for name in names:
         bmat, labels = _basis_for(state, name, contexts[name])
+        sorted_labels.append(sorted(labels))
+        bmat = bmat[:, [labels.index(label) for label in sorted_labels[-1]]]
         axis = lay.axis(name)
         amps = np.moveaxis(np.tensordot(amps, bmat.conj(), axes=([axis], [0])), -1, axis)
-        out_labels[name] = labels
 
     # `names` follows layout order, so the surviving axes of the weight tensor
     # already line up with it after summing out the unmeasured subsystems.
@@ -381,14 +384,7 @@ def branch_decompose(state: StateVector, contexts: dict) -> BranchDecomposition:
     weights = np.abs(amps) ** 2
     if rest_axes:
         weights = weights.sum(axis=rest_axes)
-
-    # Sorting every measured axis by label makes C order over the measured
-    # axes the lexicographic order of the branch label tuples.
     amps = np.moveaxis(amps, ctx_axes, range(len(names)))
-    sorted_labels = [sorted(out_labels[name]) for name in names]
-    for k, name in enumerate(names):
-        order = [out_labels[name].index(label) for label in sorted_labels[k]]
-        weights, amps = np.take(weights, order, axis=k), np.take(amps, order, axis=k)
     weights = weights.reshape(-1)
     keep = weights >= PRUNE_TOL
     component = amps.reshape(weights.size, -1)[keep]

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,13 +226,12 @@ def chi_square_tail(x: float, df: int) -> float:
     return min(1.0, math.fsum((head, *terms)))
 
 
-@dataclass(frozen=True)
-class FrequencyResult:
+class FrequencyResult(NamedTuple):
     """Empirical per-walker success frequencies over N identical trials."""
 
     p: float
     trials: int
-    frequencies: np.ndarray = field(repr=False)
+    frequencies: np.ndarray
 
     def deviant_fraction(self, eps: float) -> float:
         return float(np.mean(np.abs(self.frequencies - self.p) > eps))

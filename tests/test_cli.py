@@ -103,6 +103,19 @@ class TestCommands:
         assert body["communication"] == "skipped"
         assert body["record"]["report_consistent"] is None
 
+    @pytest.mark.parametrize("policy", ["joint", "independent"])
+    @pytest.mark.parametrize("flag, axis", [
+        ("--bob-axis", "0.00017"), ("--bob-axis", "0.001"), ("--bob-axis", "0.00256"),
+        ("--bob-axis", "179.99744"), ("--bob-axis", "179.999"), ("--bob-axis", "179.99983"),
+        ("--alice-axis", "0.001")])
+    def test_epr_near_parallel_axes(self, tmp_path, flag, axis, policy):
+        # off-branch weights of 1e-12 to 2.5e-10 survive pruning, so the report map had two
+        # reports per outcome, while |E| within ATOL of 1 ran the communication step: exit 1
+        status, out = run_to_file(tmp_path, ["epr", flag, axis, "--minds", "1000",
+                                             "--policy", policy])
+        assert status == 0
+        assert load(out)["body"]["communication"] == "skipped"
+
     def test_hulk_default_policy_is_single_mind(self, tmp_path):
         status, out = run_to_file(tmp_path, ["hulk", "--trials", "30000", "--seed", "1"])
         assert status == 0

@@ -1,6 +1,5 @@
 """Singlet runs: anti-correlation, mismatch demo, reports, CHSH."""
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -209,7 +208,7 @@ class TestCommunication:
         assert isinstance(run, EprRun)
         # the run's minds are split again from the same draws, so the counts agree
         assert run.record == communicate_and_check(cfg).record
-        assert replace(run.record, report_consistent=None) == first.record
+        assert run.record._replace(report_consistent=None) == first.record
         assert run.report_checks is not None and run.record.report_consistent is True
         # its report recorders are written, so it cannot communicate again
         with pytest.raises(PreconditionError, match="ready state"):

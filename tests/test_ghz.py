@@ -425,7 +425,9 @@ class TestSignFlips:
         assert len(rows) == 256
         for w in rows:
             assert w.observer in ("alice", "bob", "carol")
-            assert w.axis in ("x", "y")
+            # both scenarios give the witness's observer one axis, x or y
+            first, second = (scen.axes[ghz.OBSERVERS.index(w.observer)] for scen in w.scenarios)
+            assert first == second in ("x", "y")
 
 
 class TestScenarioMeta:
