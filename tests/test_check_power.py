@@ -39,12 +39,12 @@ def determined_rows_take_the_next_outcome(monkeypatch):
     # a split that reads no draw, every row having one positive outcome, takes the next one
     real = minds._draw
 
-    def draw(n, draw, probs, outcomes, context, ensembles):
+    def next_outcome(n, draw, probs, outcomes, context, ensembles):
         read = []
         chosen = real(n, lambda: read.append(1) or draw(), probs, outcomes, context, ensembles)
         return chosen if read else (chosen + 1) % len(outcomes)
 
-    monkeypatch.setattr(minds, "_draw", draw)
+    monkeypatch.setattr(minds, "_draw", next_outcome)
 
 
 def sigma_x_sign_flipped(monkeypatch):
